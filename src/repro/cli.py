@@ -9,8 +9,6 @@ points without writing any Python:
 * ``dozznoc campaign [--compressed] [--cmesh]`` — the full evaluation,
 * ``dozznoc telemetry DIR [DIR2]`` — tabulate, diff or validate telemetry
   directories written by ``run``/``campaign`` ``--telemetry``,
-* ``dozznoc serve --store results.db`` — long-running HTTP/JSON service
-  (submit runs/campaigns, poll progress, batched ``/predict``),
 * ``dozznoc repro-all`` — the push-button artifact: every table, figure
   and extension into a versioned ``out/`` tree with an HTML report,
   diffed against committed expectations (see ``docs/repro.md``),
@@ -61,8 +59,7 @@ def _scale(args: argparse.Namespace) -> EvalScale:
     else:
         scale = EvalScale(duration_ns=duration if duration else 12_000.0)
     if duration:
-        # An explicit --duration also scales the quick/cmesh profiles
-        # (the sharding chaos harness uses --quick --duration N workers).
+        # An explicit --duration also scales the quick/cmesh profiles.
         scale = replace(scale, duration_ns=duration)
     return replace(
         scale,
@@ -353,34 +350,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lease_config(args: argparse.Namespace):
-    from repro.exec import LeaseConfig
-
-    return LeaseConfig(
-        duration_s=args.lease_duration, grace_s=args.lease_grace
-    )
-
-
 def _cmd_campaign(args: argparse.Namespace) -> int:
     scale = _scale(args)
     if (args.model or args.shadow) and not args.registry:
         sys.exit("dozznoc: error: --model/--shadow require --registry DIR")
     models = MODEL_NAMES
     if args.models:
-        # Canonical MODEL_NAMES order regardless of flag order, so every
-        # sharded worker/coordinator derives the identical task list.
+        # Canonical MODEL_NAMES order regardless of flag order, so the
+        # task list (and every cache key and table row) is the same.
         picked = set(args.models) | {"baseline"}
         models = tuple(m for m in MODEL_NAMES if m in picked)
-    if args.worker and args.shard_coordinator:
-        sys.exit(
-            "dozznoc: error: --worker and --shard-coordinator are "
-            "mutually exclusive"
-        )
-    if (args.worker or args.shard_coordinator) and not scale.cache_dir:
-        sys.exit(
-            "dozznoc: error: --worker/--shard-coordinator require "
-            "--cache-dir DIR (the shared journal lives there)"
-        )
     campaign = CampaignConfig(
         sim=scale.sim,
         duration_ns=scale.duration_ns,
@@ -397,42 +376,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         shadow_model=args.shadow,
         promote_on_pass=args.promote_on_pass,
     )
+    cache = campaign_run_cache(campaign)
+    result = run_campaign(campaign, cache=cache)
+    if args.summary_out:
+        from repro.experiments.campaign import write_campaign_summary
 
-    if args.worker:
-        from repro.experiments.sharding import run_campaign_worker
-
-        report = run_campaign_worker(
-            campaign,
-            args.worker,
-            lease=_lease_config(args),
-            kill_after_claims=args.chaos_kill_after,
-        )
-        print(f"worker {args.worker!r} finished "
-              f"({report.wid}):")
-        for key, value in sorted(report.as_dict().items()):
-            print(f"  {key:20s} {value}")
-        return 0
-
-    shard_report = None
-    if args.shard_coordinator:
-        from repro.experiments.sharding import coordinate_campaign
-
-        coordinated = coordinate_campaign(
-            campaign,
-            lease=_lease_config(args),
-            salvage_after_s=args.salvage_after,
-            summary_out=args.summary_out,
-        )
-        result = coordinated.result
-        shard_report = coordinated.report
-        cache = None
-    else:
-        cache = campaign_run_cache(campaign)
-        result = run_campaign(campaign, cache=cache)
-        if args.summary_out:
-            from repro.experiments.campaign import write_campaign_summary
-
-            write_campaign_summary(result, args.summary_out)
+        write_campaign_summary(result, args.summary_out)
     rows = [
         (
             _model_cell(row),
@@ -462,21 +411,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"resumed {result.resumed_tasks} task(s) from a previous "
             "attempt's checkpoint journal"
         )
-    if shard_report is not None:
-        print(
-            f"shard: {shard_report.tasks_total} task(s), "
-            f"{shard_report.resumed} resumed, "
-            f"{shard_report.done_cached} cache hit(s), "
-            f"{shard_report.steals} lease steal(s), "
-            f"workers: {', '.join(shard_report.workers) or '-'}"
-        )
-        if shard_report.salvage is not None:
-            s = shard_report.salvage
-            print(
-                f"shard: coordinator salvaged {s.committed} task(s) "
-                f"({s.computed} computed, {s.cache_hits} from cache, "
-                f"{s.steals} stolen)"
-            )
     if args.summary_out:
         print(f"summary: {args.summary_out}")
     if args.telemetry:
@@ -534,21 +468,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    if args.shard:
-        from repro.validate.shard_chaos import run_shard_fuzz
-
-        report = run_shard_fuzz(
-            trials=args.trials,
-            seed=args.seed,
-            workers=args.shard_workers,
-            artifact_dir=args.artifact_dir,
-            replay=args.replay,
-            progress=(None if args.quiet else
-                      (lambda line: print(line, flush=True))),
-        )
-        print(report.summary())
-        return 0 if report.ok else 1
-
     from repro.validate.fuzz import run_fuzz
 
     report = run_fuzz(
@@ -709,23 +628,6 @@ def _cmd_model_gc(args: argparse.Namespace) -> int:
     print(f"removed {len(removed)} model(s), kept {len(kept)} active")
     for fingerprint in removed:
         print(f"  - {fingerprint}")
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import ServeConfig, serve_forever
-
-    serve_forever(
-        ServeConfig(
-            store_path=args.store,
-            cache_dir=args.cache_dir,
-            registry_dir=args.registry,
-            workers=args.workers,
-            task_timeout=args.task_timeout,
-            host=args.host,
-            port=args.port,
-        )
-    )
     return 0
 
 
@@ -891,37 +793,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--telemetry", default=None, metavar="DIR",
                         help="write per-task telemetry plus a merged "
                              "campaign-summary into DIR")
-    p_camp.add_argument("--worker", default=None, metavar="ID",
-                        help="run as one sharded worker against the "
-                             "journal in --cache-dir: claim/steal tasks "
-                             "under leases until the campaign is done "
-                             "(see docs/distributed.md)")
-    p_camp.add_argument("--shard-coordinator", action="store_true",
-                        help="watch the shared journal in --cache-dir "
-                             "until every task is done (salvaging "
-                             "stragglers), then assemble the final "
-                             "result exactly as a serial run would")
-    p_camp.add_argument("--lease-duration", type=float, default=5.0,
-                        help="task lease duration in seconds before a "
-                             "dead worker's claim becomes stealable "
-                             "(default 5)")
-    p_camp.add_argument("--lease-grace", type=float, default=1.0,
-                        help="extra clock-skew allowance in seconds "
-                             "before an expired lease is stolen "
-                             "(default 1)")
-    p_camp.add_argument("--salvage-after", type=float, default=10.0,
-                        help="coordinator: seconds without journal "
-                             "progress before it starts executing "
-                             "leftover tasks itself (default 10; 0 = "
-                             "participate immediately)")
     p_camp.add_argument("--summary-out", default=None, metavar="PATH",
                         help="write the deterministic campaign summary "
-                             "artifact (byte-identical across serial, "
-                             "parallel and sharded execution)")
-    # Chaos-harness hook: the worker SIGKILLs itself after N successful
-    # lease claims, leaving a held lease over an uncomputed task.
-    p_camp.add_argument("--chaos-kill-after", type=int, default=None,
-                        help=argparse.SUPPRESS)
+                             "artifact (byte-identical across serial and "
+                             "parallel execution)")
     p_camp.set_defaults(fn=_cmd_campaign)
 
     p_tel = sub.add_parser(
@@ -962,15 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "per trial (ML policies learn per-epoch)")
     p_fuzz.add_argument("--quiet", action="store_true",
                         help="suppress per-trial progress lines")
-    p_fuzz.add_argument("--shard", action="store_true",
-                        help="shard-chaos mode: random quick campaigns "
-                             "run serial then sharded across real worker "
-                             "processes (one SIGKILLed mid-claim); the "
-                             "deterministic summaries must be "
-                             "byte-identical")
-    p_fuzz.add_argument("--shard-workers", type=int, default=3,
-                        help="worker processes per --shard trial "
-                             "(default 3)")
     p_fuzz.add_argument(
         "--differential-backend",
         action="store_true",
@@ -1050,27 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     registry_arg(m_gc)
     m_gc.set_defaults(fn=_cmd_model_gc)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="long-running HTTP/JSON service: submit runs/campaigns, poll "
-             "progress, query the SQLite results store, batched /predict",
-    )
-    p_serve.add_argument("--store", required=True, metavar="DB",
-                         help="SQLite results database (created if missing)")
-    p_serve.add_argument("--cache-dir", default=None,
-                         help="shared run cache; served jobs and CLI "
-                              "campaigns pointed here share entries")
-    p_serve.add_argument("--registry", default=None, metavar="DIR",
-                         help="model registry; enables /predict from each "
-                              "policy's active model")
-    p_serve.add_argument("--workers", type=int, default=1,
-                         help="job worker threads (default 1)")
-    p_serve.add_argument("--task-timeout", type=float, default=None,
-                         help="per-simulation wall-clock budget in seconds")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8734)
-    p_serve.set_defaults(fn=_cmd_serve)
 
     p_repro = sub.add_parser(
         "repro-all",

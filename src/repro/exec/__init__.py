@@ -2,27 +2,20 @@
 
 The campaign and sweep experiments decompose into independent
 (model, trace) simulations and per-model training runs.  This package
-provides the two pieces that make paper-scale sweeps fast:
+provides the pieces that make paper-scale sweeps fast and resumable:
 
 * :mod:`repro.exec.pool` — a process-pool runner (``jobs=N``) with a
   graceful serial fallback, producing bit-identical results to serial
   execution,
 * :mod:`repro.exec.cache` — a content-addressed on-disk cache of
   simulation results keyed by config, trace content, policy, weights and
-  code version, so re-running a campaign only simulates what changed.
+  code version, so re-running a campaign only simulates what changed,
+* :mod:`repro.exec.journal` — a crash-safe checkpoint of finished task
+  keys, so a killed campaign reports how much work it resumed.
 """
 
 from repro.exec.cache import RunCache, code_version, run_key
-from repro.exec.journal import CampaignJournal, append_record, open_journal
-from repro.exec.shard import (
-    Lease,
-    LeaseConfig,
-    LeaseState,
-    ShardLedger,
-    ShardSession,
-    ShardWorker,
-    WorkerReport,
-)
+from repro.exec.journal import CampaignJournal
 from repro.exec.pool import (
     PoolHealth,
     SimTask,
@@ -40,18 +33,10 @@ from repro.exec.pool import (
 
 __all__ = [
     "CampaignJournal",
-    "Lease",
-    "LeaseConfig",
-    "LeaseState",
     "PoolHealth",
     "RunCache",
-    "ShardLedger",
-    "ShardSession",
-    "ShardWorker",
     "SimTask",
     "TrainTask",
-    "WorkerReport",
-    "append_record",
     "code_version",
     "effective_jobs",
     "execute_sim_task",
@@ -59,7 +44,6 @@ __all__ = [
     "execute_train_weights",
     "feature_set_spec",
     "map_tasks",
-    "open_journal",
     "resolve_feature_set",
     "run_key",
     "run_sim_tasks",

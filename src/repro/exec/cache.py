@@ -252,32 +252,6 @@ class RunCache:
         self.hits += 1
         return metrics
 
-    def _write_temp(self, key: str, metrics: ModelMetrics) -> str:
-        """Write a complete, fsynced entry under a per-process temp name.
-
-        The temp name embeds the pid (plus mkstemp's random suffix), so
-        two workers completing the same key in the same cache dir can
-        never collide on the staging file, let alone interleave partial
-        bytes — each writes its own temp file and publishes it whole.
-        """
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(_metrics_to_payload(key, metrics))
-        fd, tmp = tempfile.mkstemp(
-            prefix=f".run-{os.getpid()}-", suffix=".tmp", dir=self.cache_dir
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return tmp
-
     def put(self, key: str, metrics: ModelMetrics) -> None:
         """Store one run crash-safely: temp file + fsync + atomic rename.
 
@@ -291,36 +265,23 @@ class RunCache:
         are content-addressed, so both files hold identical payloads).
         """
         try:
-            tmp = self._write_temp(key, metrics)
-            os.replace(tmp, self.path_for(key))
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+            payload = json.dumps(_metrics_to_payload(key, metrics))
+            fd, tmp = tempfile.mkstemp(
+                prefix=f".run-{os.getpid()}-", suffix=".tmp",
+                dir=self.cache_dir,
+            )
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    fh.write(payload)
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                os.replace(tmp, self.path_for(key))
+            except OSError:
+                os.unlink(tmp)
+                raise
         except OSError:  # pragma: no cover - cache write is best-effort
             pass
-
-    def put_new(self, key: str, metrics: ModelMetrics) -> bool:
-        """Store one run only if no entry exists yet; True when stored.
-
-        First-wins publication for the sharding layer: ``os.link`` fails
-        with ``EEXIST`` instead of replacing, so once any worker has
-        committed a result for ``key``, a slower (possibly fenced-off)
-        writer of the same key can never clobber it — its attempt is a
-        no-op and the committed entry stands.
-        """
-        try:
-            tmp = self._write_temp(key, metrics)
-        except OSError:  # pragma: no cover - cache write is best-effort
-            return False
-        try:
-            os.link(tmp, self.path_for(key))
-            return True
-        except FileExistsError:
-            return False
-        except OSError:  # pragma: no cover - cache write is best-effort
-            return False
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
 
     def stats(self) -> dict[str, int]:
         """Hit/miss/discard counters for reporting."""

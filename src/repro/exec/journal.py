@@ -7,25 +7,21 @@ finished, so an interrupted campaign can report precisely how much it
 resumed and a monitoring tool can watch progress without parsing cache
 filenames.
 
-Format: one JSON object per line (JSONL).  Two record shapes share the
-file:
+Format: one JSON object per line (JSONL), one record shape:
+``{"key": K, "cached": bool}`` — task ``K`` finished.  Journals written
+by older multi-worker versions also hold ``{"lease": op, "key": K, ...}``
+coordination records; their ``key`` names a task that was being worked
+on, not one that finished, so any record carrying a ``lease`` field is
+skipped and such a journal still resumes with the right count.
 
-* ``{"key": K, "cached": bool}`` — a *done* record: task ``K`` finished.
-* ``{"lease": op, "key": K, ...}`` — a *lease* record written by the
-  sharding layer (:mod:`repro.exec.shard`): multiple worker processes
-  coordinating claim/renew/release/steal of unfinished tasks through the
-  same file.  :class:`CampaignJournal` skips these — they never mean a
-  task completed.
-
-Appends go through :func:`append_record`: a **single** ``os.write`` to a
-file descriptor opened with ``O_APPEND``, followed by an fsync.  POSIX
-makes each such append land at the end of the file as one contiguous
-span, so any number of processes can interleave records without ever
-interleaving *bytes* of two records.  A ``kill -9`` between appends
-loses nothing, and one *during* an append loses at most the final,
-truncated line.  :meth:`CampaignJournal._load` (and the shard ledger's
-replay) therefore tolerates — and drops — malformed lines instead of
-failing the resume.
+Each append is a **single** ``os.write`` to a file descriptor opened
+with ``O_APPEND``, followed by an fsync.  POSIX makes each such append
+land at the end of the file as one contiguous span, so two campaigns
+sharing a cache dir never interleave *bytes* of two records.  A
+``kill -9`` between appends loses nothing, and one *during* an append
+loses at most the final, truncated line.  :meth:`CampaignJournal._load`
+therefore tolerates — and drops — malformed lines instead of failing
+the resume.
 """
 
 from __future__ import annotations
@@ -35,77 +31,34 @@ import os
 from pathlib import Path
 
 
-def encode_record(record: dict) -> bytes:
-    """One journal line (newline-terminated), compact and sorted.
-
-    Sorted keys make hand-inspection and tests stable; compactness keeps
-    the single-write atomic-append guarantee comfortable (lines are far
-    below any practical atomic-write threshold).
-    """
-    return (
-        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode()
-
-
-def open_journal(path: str | Path, repair_torn_tail: bool = True) -> int:
+def _open_journal(path: Path) -> int:
     """Open (creating) a journal for atomic appends; returns the fd.
 
-    ``repair_torn_tail``: when the existing file does not end in a
-    newline (a writer died mid-append), the first thing written is a
-    bare newline so the next record starts on a fresh line instead of
-    gluing onto the tear.  With several live writers this can produce a
-    blank line or a still-unparseable glued line; both are skipped by
-    every reader, and the records they would have carried are simply
-    re-issued (the protocol is loss-tolerant by design).
+    When the existing file does not end in a newline (a writer died
+    mid-append), the first thing written is a bare newline so the next
+    record starts on a fresh line instead of gluing onto the tear.
     """
-    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd = os.open(str(path), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-    if repair_torn_tail:
-        try:
-            size = os.fstat(fd).st_size
-            torn = False
-            if size:
-                with open(path, "rb") as fh:
-                    fh.seek(size - 1)
-                    torn = fh.read(1) != b"\n"
-            if torn:
-                os.write(fd, b"\n")
-        except OSError:  # pragma: no cover - repair is best-effort
-            pass
+    try:
+        size = os.fstat(fd).st_size
+        torn = False
+        if size:
+            with open(path, "rb") as fh:
+                fh.seek(size - 1)
+                torn = fh.read(1) != b"\n"
+        if torn:
+            os.write(fd, b"\n")
+    except OSError:  # pragma: no cover - repair is best-effort
+        pass
     return fd
 
 
-def append_record(fd: int, record: dict, fsync: bool = True) -> None:
-    """Durably append one record: single ``os.write`` + fsync.
-
-    The single write is what makes concurrent multi-process appends
-    safe: ``O_APPEND`` writes are atomic with respect to each other, so
-    records from different workers interleave per-line, never per-byte.
-    """
-    os.write(fd, encode_record(record))
-    if fsync:
-        os.fsync(fd)
-
-
-def iter_records(raw: bytes):
-    """Yield every parseable JSON object from journal bytes, in order.
-
-    Malformed lines (torn appends, glued tears) are silently dropped —
-    a dropped record is always safe: a lost *done* record makes the task
-    re-run idempotently from the cache; a lost *lease* record makes a
-    worker re-issue its claim.
-    """
-    for line in raw.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(entry, dict):
-            yield entry
+def _append_record(fd: int, record: dict) -> None:
+    """Durably append one compact, key-sorted line: one write + fsync."""
+    line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    os.write(fd, line.encode())
+    os.fsync(fd)
 
 
 class CampaignJournal:
@@ -118,11 +71,8 @@ class CampaignJournal:
         first append.  An existing file is *resumed*: previously recorded
         keys are loaded and new entries are appended after them.
 
-    Safe for concurrent writers: every ``mark`` is one atomic
-    ``O_APPEND`` write (see :func:`append_record`), so several worker
-    processes sharing a cache dir can all journal into the same file.
-    Lease records written by :mod:`repro.exec.shard` share the file and
-    are ignored here — only done records count as completed work.
+    Every ``mark`` is one atomic ``O_APPEND`` write followed by an
+    fsync, so a record is either wholly on disk or absent.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -132,15 +82,21 @@ class CampaignJournal:
         self._load()
 
     def _load(self) -> None:
-        """Read back prior entries, dropping torn/foreign lines."""
+        """Read back prior done records, dropping torn or lease lines.
+
+        A dropped record is always safe: its task re-runs idempotently
+        from the cache.
+        """
         try:
             raw = self.path.read_bytes()
         except FileNotFoundError:
             return
-        for entry in iter_records(raw):
-            if "lease" in entry:
-                # A sharding lease record: coordination traffic, not a
-                # completed task (its "key" names the task being leased).
+        for line in raw.splitlines():
+            try:
+                entry = json.loads(line)
+            except ValueError:
+                continue
+            if not isinstance(entry, dict) or "lease" in entry:
                 continue
             key = entry.get("key")
             if isinstance(key, str):
@@ -156,8 +112,8 @@ class CampaignJournal:
             return
         self._done.add(key)
         if self._fd is None:
-            self._fd = open_journal(self.path)
-        append_record(self._fd, {"key": key, "cached": cached})
+            self._fd = _open_journal(self.path)
+        _append_record(self._fd, {"key": key, "cached": cached})
 
     def done(self, key: str) -> bool:
         """Whether ``key`` completed in this or a previous attempt."""

@@ -394,7 +394,6 @@ def run_sim_tasks(
     journal: CampaignJournal | None = None,
     timeout: float | None = None,
     health: PoolHealth | None = None,
-    progress: Callable[[int, int], None] | None = None,
 ) -> list[ModelMetrics]:
     """Run simulations through the cache, fanning misses over the pool.
 
@@ -406,16 +405,10 @@ def run_sim_tasks(
     in-flight tasks and resumes from the cache on the next attempt.
     ``timeout`` bounds each task's wall-clock time (see
     :func:`map_tasks`).
-
-    ``progress(done, total)`` fires once per finished task (cache hits
-    included) the moment it completes — long-running callers (the serve
-    queue's ``/runs/{id}/status`` endpoint) poll the counts it maintains.
-    Observation only: results are identical with or without it.
     """
     tasks = list(tasks)
     results: list[ModelMetrics | None] = [None] * len(tasks)
     pending: list[tuple[int, SimTask, str | None]] = []
-    done = 0
     if health is not None:
         health.tasks += len(tasks)
     for i, task in enumerate(tasks):
@@ -425,28 +418,21 @@ def run_sim_tasks(
             hit = cache.get(key)
             if hit is not None:
                 results[i] = hit
-                done += 1
                 if health is not None:
                     health.cached += 1
                 if journal is not None:
                     journal.mark(key, cached=True)
-                if progress is not None:
-                    progress(done, len(tasks))
                 continue
         pending.append((i, task, key))
 
     def _checkpoint(j: int, metrics: "ModelMetrics") -> None:
-        nonlocal done
         i, _, key = pending[j]
         results[i] = metrics
-        done += 1
         if key is not None:
             if cache is not None:
                 cache.put(key, metrics)
             if journal is not None:
                 journal.mark(key, cached=False)
-        if progress is not None:
-            progress(done, len(tasks))
 
     map_tasks(
         execute_sim_task,

@@ -320,10 +320,9 @@ class CampaignPlan:
 
     Built by :func:`prepare_campaign` — the trace suite, trained (or
     registry-served) weights, and the ordered evaluation task list.  The
-    construction is deterministic in the campaign config, which is what
-    lets independent sharded worker processes (see
-    :mod:`repro.experiments.sharding`) rebuild byte-identical task lists
-    and cache keys from nothing but the shared configuration.
+    construction is deterministic in the campaign config, so every
+    attempt of the same campaign derives the same task list and cache
+    keys, which is what lets a resumed attempt find its finished work.
     """
 
     campaign: CampaignConfig
@@ -334,9 +333,10 @@ class CampaignPlan:
     registry: ModelRegistry | None = None
     candidate: "object | None" = None  # shadow ModelRecord
 
-    def task_keys(self) -> list[str]:
-        """Content addresses of every evaluation task, in task order."""
-        return [t.cache_key() for t in self.tasks]
+
+def _phase(recorder, name: str):
+    """``recorder``'s phase timer for ``name``, or a no-op without one."""
+    return nullcontext() if recorder is None else recorder.phase(name)
 
 
 def prepare_campaign(
@@ -350,9 +350,6 @@ def prepare_campaign(
     the build/train work in its phase timers when given.
     """
     jobs = campaign.jobs if jobs is None else jobs
-
-    def _phase(name: str):
-        return nullcontext() if recorder is None else recorder.phase(name)
 
     # Model lifecycle: resolve registry-served models and the shadow
     # candidate up front so an invalid reference fails fast, before any
@@ -390,14 +387,14 @@ def prepare_campaign(
                 candidate, campaign.feature_set, campaign.sim.epoch_cycles
             )
 
-    with _phase("build_suite"):
+    with _phase(recorder, "build_suite"):
         suite = build_suite(
             num_cores=campaign.sim.num_cores,
             duration_ns=campaign.duration_ns,
             seed=campaign.seed,
             compressed=campaign.compressed,
         )
-    with _phase("train"):
+    with _phase(recorder, "train"):
         weights = train_ml_models(
             suite, campaign, jobs=jobs, skip=set(served)
         )
@@ -445,12 +442,7 @@ def assemble_campaign_result(
     resumed: int = 0,
     promotion: dict | None = None,
 ) -> CampaignResult:
-    """Fold per-task metrics (in task order) into a :class:`CampaignResult`.
-
-    The serial path, the serve queue and the shard coordinator all build
-    their final result through here, so a campaign's result shape never
-    depends on *how* it was executed.
-    """
+    """Fold per-task metrics (in task order) into a :class:`CampaignResult`."""
     campaign = plan.campaign
     results = iter(metrics_list)
     metrics: dict[str, dict[str, ModelMetrics]] = {}
@@ -523,9 +515,8 @@ def campaign_summary_payload(result: CampaignResult) -> dict:
     wall-clock phase timers and can never be byte-stable), this payload
     contains only content: configuration, per-trace metrics, normalized
     metrics and the averaged summary rows.  Two runs of the same
-    campaign — serial, parallel, or sharded across any number of workers
-    with any number of crashes — serialize to identical bytes, which is
-    what the shard chaos harness asserts.
+    campaign — serial or parallel, uninterrupted or killed and resumed —
+    serialize to identical bytes.
     """
     campaign = result.config
     sim = {
@@ -587,19 +578,14 @@ def run_campaign(
     campaign: CampaignConfig,
     jobs: int | None = None,
     cache: RunCache | None = None,
-    progress: "callable | None" = None,
-    health: PoolHealth | None = None,
 ) -> CampaignResult:
     """Execute the full train-then-test evaluation.
 
     ``jobs`` overrides ``campaign.jobs``; ``cache`` overrides the run
     cache derived from ``campaign.cache_dir`` (pass an explicit
     :class:`RunCache` to inspect hit/miss statistics afterwards).
-    ``progress(done, total)`` fires per completed evaluation task (see
-    :func:`repro.exec.pool.run_sim_tasks`); observation only.
-    ``health`` collects the exec layer's degradation counters (one is
-    created internally when telemetry is enabled; pass your own — the
-    serve queue does — to read them afterwards).
+    With ``campaign.telemetry_dir`` set, the exec layer's degradation
+    counters and phase timers go into the merged telemetry summary.
     """
     jobs = campaign.jobs if jobs is None else jobs
     if cache is None:
@@ -607,19 +593,19 @@ def run_campaign(
     journal = campaign_journal(campaign)
 
     recorder = None
+    health = None
     if campaign.telemetry_dir is not None:
         from repro.telemetry import TelemetryRecorder
 
         recorder = TelemetryRecorder(series=False)
-        if health is None:
-            health = PoolHealth()
+        health = PoolHealth()
 
     plan = prepare_campaign(campaign, jobs=jobs, recorder=recorder)
     resumed = 0
     if journal is not None and len(journal):
-        resumed = sum(1 for k in plan.task_keys() if journal.done(k))
+        resumed = sum(1 for t in plan.tasks if journal.done(t.cache_key()))
     try:
-        if recorder is None:
+        with _phase(recorder, "simulate"):
             results = run_sim_tasks(
                 plan.tasks,
                 jobs=jobs,
@@ -627,25 +613,13 @@ def run_campaign(
                 journal=journal,
                 timeout=campaign.task_timeout,
                 health=health,
-                progress=progress,
             )
-        else:
-            with recorder.phase("simulate"):
-                results = run_sim_tasks(
-                    plan.tasks,
-                    jobs=jobs,
-                    cache=cache,
-                    journal=journal,
-                    timeout=campaign.task_timeout,
-                    health=health,
-                    progress=progress,
-                )
     finally:
         if journal is not None:
             journal.close()
 
     promotion = None
-    if recorder is not None and health is not None:
+    if recorder is not None:
         promotion = finalize_campaign_telemetry(
             plan, recorder, health, resumed=resumed
         )

@@ -180,8 +180,8 @@ def cached_train(
     )
     if cache_dir is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic publish: several sharded workers may train the same
-        # model concurrently against one cache dir.  Each stages a
+        # Atomic publish: two processes sharing one cache dir may train
+        # the same model concurrently.  Each stages a
         # per-pid .npz and renames it whole, so a reader never loads a
         # half-written archive (training is deterministic, so whichever
         # rename lands last is byte-identical anyway).

@@ -307,28 +307,6 @@ class TelemetryRecorder:
         )
 
     # ------------------------------------------------------------------ #
-    # Progress tap
-    # ------------------------------------------------------------------ #
-
-    def progress_snapshot(self) -> dict:
-        """Point-in-time counter values for live progress reporting.
-
-        A read-only tap for long-running observers (the serve queue's
-        polling ``/runs/{id}/status`` endpoint): plain integer counter
-        reads plus the meta dict, safe to call from another thread while
-        a simulation is mid-run (int reads are atomic; a torn multi-field
-        view is acceptable for progress display and never feeds results).
-        """
-        return {
-            "counters": {
-                name: metric.value
-                for name, metric in self.metrics.metrics.items()
-                if isinstance(metric, Counter)
-            },
-            "meta": dict(self.meta),
-        }
-
-    # ------------------------------------------------------------------ #
     # Wall-clock phase timers
     # ------------------------------------------------------------------ #
 

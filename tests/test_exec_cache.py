@@ -168,32 +168,6 @@ class TestRunCacheRoundTrip:
         assert all(isinstance(k, int) for k in got.mode_distribution)
 
 
-class TestPutNew:
-    def test_first_writer_wins(self, tmp_path):
-        cache = RunCache(tmp_path)
-        key = "n" * 24
-        assert cache.put_new(key, make_metrics(static_pj=1.0)) is True
-        assert cache.put_new(key, make_metrics(static_pj=2.0)) is False
-        assert cache.get(key).static_pj == 1.0
-
-    def test_put_new_respects_a_prior_put(self, tmp_path):
-        cache = RunCache(tmp_path)
-        key = "p" * 24
-        cache.put(key, make_metrics(static_pj=1.0))
-        assert cache.put_new(key, make_metrics(static_pj=2.0)) is False
-        assert cache.get(key).static_pj == 1.0
-
-    def test_put_new_leaves_no_temp_files(self, tmp_path):
-        cache = RunCache(tmp_path)
-        key = "q" * 24
-        cache.put_new(key, make_metrics())
-        cache.put_new(key, make_metrics())  # loser must clean up
-        leftovers = [
-            p for p in tmp_path.rglob("*") if p.name.startswith(".run-")
-        ]
-        assert leftovers == []
-
-
 class TestRunSimTasksThroughCache:
     @pytest.fixture()
     def task(self):

@@ -64,8 +64,10 @@ class TestCampaignJournal:
         assert len(j) == 0
 
     def test_lease_records_are_not_completed_work(self, tmp_path):
-        # Sharding lease traffic (repro.exec.shard) shares the file; its
-        # records carry a "key" too, but only done records count.
+        # Journals left by older multi-worker campaigns also hold lease
+        # records.  Those carry a "key" too (the task being worked on),
+        # but only done records count, so such a journal still resumes
+        # with the right count.
         path = tmp_path / "journal.jsonl"
         with CampaignJournal(path) as j:
             j.mark("done-task")

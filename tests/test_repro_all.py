@@ -17,7 +17,6 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.artifact import validate_manifest
-from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.repro_all import (
     REPRO_EXPERIMENTS,
     EXPECTATIONS_SCHEMA,
@@ -168,8 +167,27 @@ class TestPerturbationSentinel:
 
 class TestRegistryAndSelection:
     def test_covers_every_registry_experiment(self):
-        """repro-all must subsume the per-experiment bench registry."""
-        assert set(EXPERIMENTS) <= set(REPRO_EXPERIMENTS)
+        """repro-all must subsume every experiment the per-experiment
+        bench registry used to list, paper artifacts and extensions."""
+        bench_ids = {
+            "table1", "table2", "table3", "table4", "table5",
+            "fig5", "fig6", "fig7", "fig8", "fig9",
+            "cmesh", "epoch_sweep", "feature_ablation",
+            "tidle", "buffers", "ladder",
+        }
+        assert bench_ids <= set(REPRO_EXPERIMENTS)
+
+    def test_every_paper_artifact_registered(self):
+        expected = {
+            "table1", "table2", "table3", "table4", "table5",
+            "fig5", "fig6", "fig7", "fig8", "fig9",
+            "cmesh", "epoch_sweep", "feature_ablation",
+        }
+        assert expected <= set(REPRO_EXPERIMENTS)
+
+    def test_extensions_marked(self):
+        for exp_id in ("tidle", "buffers", "ladder"):
+            assert REPRO_EXPERIMENTS[exp_id].kind == "extension"
 
     def test_every_bench_declares_valid_experiment_ids(self):
         """Each bench links to the registry via EXPERIMENT_IDS.
