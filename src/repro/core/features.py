@@ -61,6 +61,18 @@ class FeatureSet:
         """Whether routers must maintain per-port accumulators."""
         return any(f.name.startswith(("occ_port", "flits_port")) for f in self.features)
 
+    @property
+    def router_local(self) -> bool:
+        """Whether every feature reads only its own router's per-epoch state.
+
+        False when a feature reads a neighbour (``neighbor_*``) or needs
+        per-port accumulators.  The array kernel elides silent cycles
+        only for router-local sets (see :mod:`repro.noc.array_sim`).
+        """
+        return not self.needs_port_tracking and not any(
+            f.name.startswith("neighbor_") for f in self.features
+        )
+
     def extract(self, router: "Router", sim: object) -> np.ndarray:
         """Evaluate every feature for ``router`` at an epoch boundary."""
         return np.array([f.fn(router, sim) for f in self.features])

@@ -18,20 +18,20 @@ list indexing.  NumPy is used where access is bulk, not scalar (lane
 export via :meth:`ArraySimulator.lanes`, consumed by the invariant
 cross-checks in the test suite).  See ``docs/backends.md``.
 
-**Span skipping (the gated-epoch fast path).**  The object kernel already
-batch-elides provably silent heartbeats of gated routers
-(``_heartbeat_skip``).  This kernel generalizes the idea to every router
-state: after a live cycle it proves, from the lanes, that the *next* k
-cycles cannot observably differ from no-ops — no arrival commits, no
-transfer or ejection can be granted, no injection comes due, no epoch
-boundary or gating threshold is crossed — and elides them by returning
-``1 + k`` periods from ``_fire`` exactly as the heartbeat path does.
-The proof rests on a frozen-state argument: between a router's live
-cycles its FIFOs, reservations, round-robin pointers and output-busy
-ticks cannot change except through *another* router's live cycle, and
-every such cross-router mutation site interrupts the target's span
-(rolling back elided cycles that per-step execution would not have run,
-with the same ``(tick, rid)`` heap-order tie-break as ``_expedite``).
+**Span skipping (the gated-epoch fast path).**  After a live cycle the
+kernel proves, from the lanes, that the *next* k cycles of the router
+cannot observably differ from no-ops — no arrival commits, no transfer or
+ejection can be granted, no injection comes due, no epoch boundary or
+gating threshold is crossed — and elides them by scheduling the router
+``1 + k`` periods out.  Every router state has a span kind, gated
+heartbeats included; the object kernel skips nothing and is the
+per-cycle reference.  The proof rests on a frozen-state argument:
+between a router's live cycles its FIFOs, reservations, round-robin
+pointers and output-busy ticks cannot change except through *another*
+router's live cycle, and every such cross-router mutation site
+interrupts the target's span (rolling back elided cycles that per-step
+execution would not have run, with a ``(tick, rid)`` heap-order
+tie-break for a cycle landing exactly on the interrupting tick).
 
 Elided cycles would only have bumped a handful of per-epoch counters, so
 their credits are folded in lazily — at the next live cycle, at an
@@ -43,10 +43,12 @@ additions into ``occ_sum``, which is *not* equivalent to adding
 ``m * f`` once).
 
 Spans are disabled when a timeline sampler observes every fire, and when
-the active feature set can read *neighbour* state mid-epoch (the
-neighbour lanes of ``full-41`` would see a spanning router's lazily
-deferred counters); the reduced-5 set reads only a router's own state at
-its own live epoch boundary, where every credit has been folded.
+the active feature set is not router-local
+(:attr:`repro.core.features.FeatureSet.router_local`): a neighbour read
+(``neighbor_*``) would see a spanning router's lazily deferred counters,
+and per-port occupancy accumulators are not folded.  Router-local
+features read only the boundary router's own state at its own live
+epoch boundary, where every credit has been folded.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ import heapq
 
 from repro.common.errors import SimulationError
 from repro.common.units import BASE_TICKS_PER_NS
-from repro.core.features import REDUCED_FEATURES
 from repro.core.modes import MODES
 from repro.core.states import PowerState
 from repro.noc.packet import Packet
@@ -74,12 +75,35 @@ _INACTIVE = PowerState.INACTIVE
 #: HELD: gating policy, every elided cycle fails R-Idle (idle_count
 #: pinned at zero).  WAKE: WAKEUP countdown cycles.  STALL: T-Switch
 #: stall cycles (transport, injection and gating are all skipped; only
-#: the stall countdown and occupancy accounting tick).
+#: the stall countdown and occupancy accounting tick).  GATED: heartbeats
+#: of a power-gated router (only the off-cycle and epoch counters tick).
 _SPAN_PLAIN = 0
 _SPAN_IDLE = 1
 _SPAN_HELD = 2
 _SPAN_WAKE = 3
 _SPAN_STALL = 4
+_SPAN_GATED = 5
+
+
+def _cycles_before_due(t_ns: float, tick: int, period: int, k: int) -> int:
+    """Largest ``j <= k`` such that an NI entry due at ``t_ns`` is still in
+    the future at every cycle ``tick + i * period`` for ``0 < i <= j``.
+
+    Replicates :meth:`Router.inject_pending`'s float comparison
+    bit-for-bit, so a span ends on exactly the cycle where per-cycle
+    execution first sees the entry due.
+    """
+    base = BASE_TICKS_PER_NS
+    j = int((t_ns * base - tick) / period)
+    if j > k:
+        j = k
+    elif j < 0:
+        j = 0
+    while j > 0 and t_ns <= (tick + j * period) / base:
+        j -= 1
+    while j < k and t_ns > (tick + (j + 1) * period) / base:
+        j += 1
+    return j
 
 
 class ArraySimulator(Simulator):
@@ -127,14 +151,16 @@ class ArraySimulator(Simulator):
         # Dynamic hop energy per rail voltage — a pure function of the
         # five mode voltages, precomputed off the hot path.
         self._dyn_e = {m.voltage: dynamic_energy_pj(m.voltage) for m in MODES}
-        # Spans share _heartbeat_skip's preconditions (timeline samplers
-        # observe every fire) and additionally require that feature
-        # extraction never reads a *neighbour* mid-epoch: the reduced-5
-        # set reads only the boundary router's own folded state.
-        self._span_ok = self._allow_skip and (
-            not self._needs_features
-            or self.policy.feature_set.name == REDUCED_FEATURES.name
+        # The one span-eligibility predicate, for every span kind: no
+        # timeline sampler (it observes every fire) and, when features
+        # are extracted, a router-local feature set (see module
+        # docstring).
+        self._span_ok = self.timeline is None and (
+            not self._needs_features or self.policy.feature_set.router_local
         )
+        # Router whose fire is in progress: the same-tick tie-break of
+        # span interrupts (see _interrupt_span).
+        self._firing_rid = -1
 
     def lanes(self) -> dict:
         """Export the scheduler lanes as NumPy arrays (for cross-checks).
@@ -170,6 +196,8 @@ class ArraySimulator(Simulator):
         if kind == _SPAN_IDLE:
             router.idle_count += kept
             router.epoch_idle_cycles += kept
+        elif kind == _SPAN_GATED:
+            router.total_off_cycles += kept
         elif kind == _SPAN_WAKE:
             if router.wake_stuck:
                 router.watchdog_remaining -= kept
@@ -190,43 +218,44 @@ class ArraySimulator(Simulator):
     def _interrupt_span(self, router: Router, now: int) -> None:
         """End a router's span early: another router just mutated state
         it can observe (arrival, reservation, secure, freed space, a
-        neighbour waking or finishing a V/F stall).
+        neighbour waking or finishing a V/F stall, a wake-up).
 
-        Mirrors :meth:`Simulator._expedite`: elided cycles strictly after
-        ``now`` are discarded (per-step execution would have run them
-        against the new state), and a cycle landing exactly ``now`` only
-        stays elided if its ``(tick, rid)`` heap entry would have popped
-        *before* the currently firing router's.
+        Elided cycles strictly after ``now`` are discarded (per-step
+        execution would have run them against the new state) and the
+        first of them becomes the next live fire; a cycle landing exactly
+        ``now`` only stays elided if its ``(tick, rid)`` heap entry would
+        have popped *before* the currently firing router's — otherwise
+        the router refires this tick.  The kept cycles are folded and the
+        span is closed.
         """
         rid = router.rid
         cur = router.next_event_tick
         delta = cur - now
         if delta <= 0:
             # The span-end fire is this very tick and pops after us; all
-            # elided cycles are in the past and stay correct.
+            # elided cycles are in the past and it folds them.
             return
         period = self._span_period[rid]
         over = (delta - 1) // period
+        nxt = cur - over * period
         if delta % period == 0 and self._firing_rid < rid:
             over += 1
             nxt = now
-        else:
-            if over == 0:
-                # Every elided cycle predates the mutation; the next
-                # (live) fire at ``cur`` sees the new state on time.
-                return
-            nxt = cur - over * period
         self._fold_span(router, self._span_k[rid] - over)
         self._in_span[rid] = False
-        router.next_event_tick = nxt
-        heapq.heappush(self._heap, (nxt, rid))
+        if nxt < cur:
+            router.next_event_tick = nxt
+            heapq.heappush(self._heap, (nxt, rid))
 
     def _rollback_spans(self, final_tick: int, drain_rid: int | None) -> None:
         """End-of-run folding of still-open spans.
 
-        The twin of :meth:`Simulator._rollback_future_skips`, with the
-        same drain-order tie-break, but expressed as "fold only the kept
-        cycles" since span credits are lazy rather than eager.
+        Folds only the elided cycles per-step execution would have run:
+        those at or before ``final_tick``.  ``drain_rid`` is the router
+        whose fire drained the network, or ``None`` for a horizon/cap
+        stop; on a drain stop, a cycle landing exactly on the final tick
+        only ran if its ``(tick, rid)`` heap entry popped before the
+        draining fire.
         """
         for router in self.network.routers:
             rid = router.rid
@@ -258,6 +287,29 @@ class ArraySimulator(Simulator):
             if in_span[feeder_rid] and span_block[feeder_rid] >> fport & 1:
                 self._interrupt_span(routers[feeder_rid], tick)
 
+    def _gated_span(self, router: Router, tick: int) -> int:
+        """Elide heartbeats of a gated router.  They are silent until a
+        secure() wakes it (which interrupts the span) or an injection
+        comes due; arrivals cannot target a gated router."""
+        period = router.cur_period
+        k = self.epoch_cycles - router.epoch_cycle - 1
+        c = (self._cap_tick - tick) // period
+        if c < k:
+            k = c
+        q = router.inject_queue
+        pos = router.inject_pos
+        if k > 0 and pos < len(q):
+            k = _cycles_before_due(q[pos][0], tick, period, k)
+        if k <= 0:
+            return 0
+        rid = router.rid
+        self._in_span[rid] = True
+        self._span_kind[rid] = _SPAN_GATED
+        self._span_k[rid] = k
+        self._span_period[rid] = period
+        self._span_block[rid] = 0
+        return k
+
     def _wake_span(self, router: Router, tick: int) -> int:
         """Elide WAKEUP countdown cycles (the completing cycle stays
         live: it flips the state and must notify blocked neighbours)."""
@@ -287,8 +339,11 @@ class ArraySimulator(Simulator):
     # ------------------------------------------------------------------ #
 
     def _wake_router(self, router: Router) -> None:
-        """A secure() hold just landed on a gated router: wake it
-        (identical to the object kernel's INACTIVE branch of secure)."""
+        """A secure() hold just landed on a gated router: end its
+        heartbeat span and wake it (the object kernel's INACTIVE branch
+        of secure)."""
+        if self._in_span[router.rid]:
+            self._interrupt_span(router, self.now_tick)
         self.settle(router)
         router.begin_wakeup()
         if self._faults is not None:
@@ -372,7 +427,6 @@ class ArraySimulator(Simulator):
         epoch_cycles = self.epoch_cycles
         t_idle = self.t_idle
         uses_gating = self._uses_gating
-        allow_skip = self._allow_skip
         wormhole = self.wormhole
         req_flits = self._req_flits
         resp_flits = self._resp_flits
@@ -385,12 +439,13 @@ class ArraySimulator(Simulator):
         fault_links = self._fault_links
         faults = self._faults
         telemetry = self._telemetry
+        fold = self._fold_span
         interrupt = self._interrupt_span
         notify = self._notify_neighbors
+        gated_span = self._gated_span
         wake_span = self._wake_span
         wake_router = self._wake_router
         boundary = self._epoch_boundary
-        hb_skip = self._heartbeat_skip
         heappop = heapq.heappop
         heappush = heapq.heappush
         base = BASE_TICKS_PER_NS
@@ -416,32 +471,10 @@ class ArraySimulator(Simulator):
             now_ns = tick / base
 
             # --- consume the open span: this live cycle ends it, so
-            # every elided cycle is in the past — fold all its credits
-            # (inlined _fold_span).
+            # every elided cycle is in the past — fold all its credits.
             if in_span[rid]:
                 in_span[rid] = False
-                kept = span_k[rid]
-                router.epoch_cycle += kept
-                kind = span_kind[rid]
-                if kind == _SPAN_IDLE:
-                    router.idle_count += kept
-                    router.epoch_idle_cycles += kept
-                elif kind == _SPAN_WAKE:
-                    if router.wake_stuck:
-                        router.watchdog_remaining -= kept
-                    else:
-                        router.wakeup_remaining -= kept
-                else:  # PLAIN / HELD / STALL
-                    f = span_f[rid]
-                    if f:
-                        s = router.occ_sum
-                        for _ in range(kept):
-                            s += f
-                        router.occ_sum = s
-                    if kind == _SPAN_HELD:
-                        router.idle_count = 0
-                    elif kind == _SPAN_STALL:
-                        router.switch_stall -= kept
+                fold(router, span_k[rid])
 
             self._firing_rid = rid
             # Inlined settle (Simulator._fire prologue).
@@ -835,13 +868,7 @@ class ArraySimulator(Simulator):
                     add_wake_event(rid, router.mode)
                     if telemetry is not None:
                         telemetry.on_wake_begin(rid, tick)
-                    router.epoch_cycle += 1
-                else:
-                    router.epoch_cycle += 1
-                    if allow_skip:
-                        c = epoch_cycles - router.epoch_cycle - 1
-                        if c > 0:
-                            mult += hb_skip(router, tick, c)
+                router.epoch_cycle += 1
 
             else:  # WAKEUP (inlined _fire WAKEUP branch + notify)
                 if router.wake_stuck:
@@ -871,7 +898,7 @@ class ArraySimulator(Simulator):
                 boundary(router)
 
             # --- span eligibility: prove the next k cycles silent ----
-            if mult == 1 and span_ok:
+            if span_ok:
                 state = router.state
                 if state is active:
                     if router.switch_stall:
@@ -1058,32 +1085,9 @@ class ArraySimulator(Simulator):
                                             # (live) pops.
                                             inj_blocked = True
                                     elif fits:
-                                        # Largest j with the entry still
-                                        # in the future at tick+j*period,
-                                        # replicating inject_pending's
-                                        # float comparison bit-for-bit
-                                        # (cf. _heartbeat_skip).
-                                        j = int(
-                                            (t_ns * base - tick) / period
+                                        k = _cycles_before_due(
+                                            t_ns, tick, period, k
                                         )
-                                        if j > k:
-                                            j = k
-                                        elif j < 0:
-                                            j = 0
-                                        while (
-                                            j > 0
-                                            and t_ns
-                                            <= (tick + j * period) / base
-                                        ):
-                                            j -= 1
-                                        while (
-                                            j < k
-                                            and t_ns
-                                            > (tick + (j + 1) * period)
-                                            / base
-                                        ):
-                                            j += 1
-                                        k = j
                                     # else: due later but already over
                                     # capacity -- it cannot inject before
                                     # one of our own pops, and every pop
@@ -1137,6 +1141,8 @@ class ArraySimulator(Simulator):
                                         mult += k
                 elif state is wakeup:
                     mult += wake_span(router, tick)
+                else:
+                    mult += gated_span(router, tick)
 
             if timeline is not None:
                 self.now_tick = tick
@@ -1161,8 +1167,6 @@ class ArraySimulator(Simulator):
             drained = self.packets_live == 0 and self.entries_remaining == 0
         self.now_tick = final_tick
         self.now_ns = final_tick / BASE_TICKS_PER_NS
-        if allow_skip and uses_gating:
-            self._rollback_future_skips(final_tick, drain_rid)
         if span_ok:
             self._rollback_spans(final_tick, drain_rid)
         self._flush_hop_shadow()

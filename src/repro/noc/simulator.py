@@ -5,7 +5,10 @@ mode, or a slow heartbeat while power-gated).  Timestamps are integer base
 ticks of 1/18 ns, so all five paper frequencies beat exactly (see
 :mod:`repro.common.units`).  A binary heap orders router firings; stale
 heap entries (left behind when a router is expedited, e.g. woken by a
-secure signal) are skipped via the ``next_event_tick`` guard.
+secure signal) are skipped via the ``next_event_tick`` guard.  Every
+router fires once per period, gated heartbeats included: nothing is
+skipped, so this kernel is the plain per-cycle reference that the fast
+array kernel (:mod:`repro.noc.array_sim`) must match bit for bit.
 
 One router cycle performs, in order:
 
@@ -42,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a core<->noc import cycle
     from repro.core.controller import PowerPolicy
 from repro.noc.network import Network
 from repro.noc.packet import Packet
-from repro.noc.router import GATED_HEARTBEAT_TICKS, Router
+from repro.noc.router import Router
 from repro.noc.stats import NetworkStats
 from repro.noc.topology import LOCAL, NUM_PORTS
 from repro.power.accounting import EnergyAccountant
@@ -170,7 +173,6 @@ class Simulator:
         self.packets_live = 0
         self._pid = 0
         self._arr_seq = 0
-        self._firing_rid = -1
         # Look-ahead securing ledger: holds placed vs released over the
         # whole run (audited for symmetry at drain by repro.validate).
         self.secures_placed = 0
@@ -242,10 +244,6 @@ class Simulator:
         # cells) and the per-buffer packet-cell capacity.
         self._min_cells = self.network.min_cells
         self._cell_cap = self.network.cell_capacity
-        # Batched heartbeat skipping for gated routers is exact (it only
-        # elides fires that are provably no-ops) but a timeline sampler
-        # observes every fire, so it forces per-step execution.
-        self._allow_skip = timeline is None
 
         if config.horizon_ns is not None:
             self.horizon_tick: int | None = ns_to_ticks(config.horizon_ns)
@@ -388,80 +386,15 @@ class Simulator:
     def _expedite(self, router: Router) -> None:
         """Reschedule a woken router's next firing.
 
-        The router was INACTIVE, so its scheduled firing sits on the
-        gated-heartbeat grid — possibly several heartbeats out when silent
-        fires were batch-skipped (:meth:`_heartbeat_skip`).  Restore
-        per-step semantics exactly:
-
-        * un-credit skipped heartbeats that lie strictly after now (the
-          wake means per-step execution would never have run them gated),
-        * if a virtual heartbeat lands exactly now and per-step heap order
-          (tick, rid) would have fired it *after* the securing router, it
-          would have run in WAKEUP state — refire this tick to match,
-        * otherwise pull the next firing back to the earlier of "one
-          period from now" and the next virtual heartbeat.
+        The router was INACTIVE, so its next firing is a gated heartbeat;
+        it now runs at its mode clock, so fire at the earlier of one
+        period from now and that heartbeat.  A heartbeat due this very
+        tick pops after the securing router and runs in WAKEUP state.
         """
-        cur = router.next_event_tick
-        now = self.now_tick
-        delta = cur - now
-        if delta <= 0:
-            # Pending fire this very tick pops after us and runs in
-            # WAKEUP state by itself; nothing was skipped past it.
-            return
-        hb = GATED_HEARTBEAT_TICKS
-        over = (delta - 1) // hb
-        if over:
-            router.total_off_cycles -= over
-            router.epoch_cycle -= over
-        if delta % hb == 0 and self._firing_rid < router.rid:
-            # Virtual heartbeat exactly now, ordered after the securing
-            # router: per-step it fires in WAKEUP state, not gated.
-            router.total_off_cycles -= 1
-            router.epoch_cycle -= 1
-            nxt = now
-        else:
-            nxt = now + router.cur_period
-            vnext = cur - over * hb
-            if vnext < nxt:
-                nxt = vnext
-        if nxt < cur:
+        nxt = self.now_tick + router.cur_period
+        if nxt < router.next_event_tick:
             router.next_event_tick = nxt
             heapq.heappush(self._heap, (nxt, router.rid))
-
-    def _rollback_future_skips(
-        self, final_tick: int, drain_rid: int | None
-    ) -> None:
-        """Un-credit batch-skipped heartbeats the run ended before reaching.
-
-        :meth:`_heartbeat_skip` credits ``total_off_cycles`` and
-        ``epoch_cycle`` eagerly for future silent fires.  When the run
-        terminates mid-batch (drain or horizon), per-step execution would
-        never have run the fires scheduled past ``final_tick``, so the
-        credits must be returned — the end-of-run twin of
-        :meth:`_expedite`'s rollback on wake-up.
-
-        ``drain_rid`` is the router whose fire drained the network, or
-        ``None`` for a horizon/cap stop.  On a drain stop, a virtual
-        heartbeat landing exactly on the final tick only ran per-step if
-        its (tick, rid) heap entry popped before the draining fire.
-        """
-        hb = GATED_HEARTBEAT_TICKS
-        for router in self.network.routers:
-            if router.state is not _INACTIVE:
-                continue
-            delta = router.next_event_tick - final_tick
-            if delta <= 0:
-                continue
-            over = (delta - 1) // hb
-            if (
-                delta % hb == 0
-                and drain_rid is not None
-                and router.rid > drain_rid
-            ):
-                over += 1
-            if over:
-                router.total_off_cycles -= over
-                router.epoch_cycle -= over
 
     # ------------------------------------------------------------------ #
     # Main loop
@@ -480,7 +413,6 @@ class Simulator:
         base = BASE_TICKS_PER_NS
         final_tick = 0
         drained = False
-        drain_rid: int | None = None
 
         while heap:
             tick, rid = heappop(heap)
@@ -495,10 +427,10 @@ class Simulator:
                 break
             self.now_tick = tick
             self.now_ns = tick / base
-            mult = fire(router, tick)
+            fire(router, tick)
             if timeline is not None:
                 timeline.maybe_sample(self)
-            nxt = tick + router.cur_period * mult
+            nxt = tick + router.cur_period
             router.next_event_tick = nxt
             heappush(heap, (nxt, router.rid))
             final_tick = tick
@@ -508,15 +440,12 @@ class Simulator:
                 and self.entries_remaining == 0
             ):
                 drained = True
-                drain_rid = rid
                 break
 
         if horizon is not None:
             drained = self.packets_live == 0 and self.entries_remaining == 0
         self.now_tick = final_tick
         self.now_ns = final_tick / BASE_TICKS_PER_NS
-        if self._allow_skip and self._uses_gating:
-            self._rollback_future_skips(final_tick, drain_rid)
         self._flush_residency()
         if self.audit is not None:
             self.audit.on_end(self, drained)
@@ -538,14 +467,8 @@ class Simulator:
     # One router cycle
     # ------------------------------------------------------------------ #
 
-    def _fire(self, router: Router, tick: int) -> int:
-        """One router cycle; returns how many periods to advance.
-
-        The return value is 1 except when a gated router batch-skips
-        provably silent heartbeats (see :meth:`_heartbeat_skip`), in which
-        case it is ``1 + skipped``.
-        """
-        self._firing_rid = router.rid
+    def _fire(self, router: Router, tick: int) -> None:
+        """One router cycle (the caller advances it one period)."""
         # Inlined self.settle(router) — this is the hottest call site.
         dt = tick - router.last_settle_tick
         state = router.state
@@ -556,7 +479,6 @@ class Simulator:
                 router.mode_ticks[router.mode.index] += dt
             router.last_settle_tick = tick
         now_ns = self.now_ns
-        mult = 1
 
         if state is _INACTIVE:
             router.total_off_cycles += 1
@@ -571,17 +493,7 @@ class Simulator:
                 self.accountant.add_wake_event(router.rid, router.mode)
                 if self._telemetry is not None:
                     self._telemetry.on_wake_begin(router.rid, tick)
-                router.epoch_cycle += 1
-            else:
-                router.epoch_cycle += 1
-                if self._allow_skip:
-                    # Future heartbeats are no-ops until an injection comes
-                    # due (arrivals and secures cannot target a gated
-                    # router; a later secure() expedites us anyway).  Never
-                    # skip across the epoch boundary: it must fire live.
-                    cap = self.epoch_cycles - router.epoch_cycle - 1
-                    if cap > 0:
-                        mult += self._heartbeat_skip(router, tick, cap)
+            router.epoch_cycle += 1
         elif state is _WAKEUP:
             if router.wake_stuck:
                 # Degraded handshake: the wakeup is not progressing.  The
@@ -652,40 +564,6 @@ class Simulator:
 
         if router.epoch_cycle >= self.epoch_cycles:
             self._epoch_boundary(router)
-        return mult
-
-    def _heartbeat_skip(self, router: Router, tick: int, cap: int) -> int:
-        """How many upcoming heartbeat fires of a silent gated router can
-        be elided without changing any observable state.
-
-        A skipped fire would only have incremented ``total_off_cycles``
-        and ``epoch_cycle`` (done here in bulk), so skipping is exact as
-        long as no injection comes due at a skipped tick.  The fix-up
-        loops replicate :meth:`Router.inject_pending`'s float comparison
-        bit-for-bit, so the wake fires at precisely the per-step tick.
-        """
-        q = router.inject_queue
-        pos = router.inject_pos
-        if pos >= len(q):
-            k = cap
-        else:
-            t_next = q[pos][0]
-            base = BASE_TICKS_PER_NS
-            hb = GATED_HEARTBEAT_TICKS
-            k = int((t_next * base - tick) / hb)
-            if k > cap:
-                k = cap
-            elif k < 0:
-                k = 0
-            # Fire at tick + j*hb is silent iff t_next > (tick + j*hb)/base.
-            while k > 0 and t_next <= (tick + k * hb) / base:
-                k -= 1
-            while k < cap and t_next > (tick + (k + 1) * hb) / base:
-                k += 1
-        if k > 0:
-            router.total_off_cycles += k
-            router.epoch_cycle += k
-        return k
 
     def _commit_arrivals(self, router: Router, tick: int) -> None:
         routers = self.network.routers

@@ -1,7 +1,7 @@
 """Machine-checkable conservation laws for the simulation kernel.
 
-The simulator's bookkeeping is heavily optimized (inlined settles, batched
-heartbeat skipping, reservation counters maintained incrementally), which
+The simulator's bookkeeping is heavily optimized (inlined settles, the array
+kernel's span skipping, reservation counters maintained incrementally), which
 means a kernel bug can corrupt results *silently*: counters drift, energy
 residency leaks, and the run still produces plausible-looking numbers.
 :class:`InvariantAuditor` recomputes the ground truth from first
@@ -33,8 +33,8 @@ principles at every epoch boundary and at end-of-run and raises
   gated + per-mode tick residency tiles the run exactly, and the energy
   accountant's wall-clock view agrees,
 * **epoch-cycle bounds** — per-router epoch counters stay inside
-  ``[0, epoch_cycles)`` even through heartbeat batch-skip credits and
-  expedite rollbacks,
+  ``[0, epoch_cycles)`` even through the array kernel's lazy span folds,
+  interrupts and end-of-run rollbacks,
 * **monotone fire ticks** — simulated time never runs backwards and no
   router's next firing is scheduled in the past,
 * **ring bubble** — on bubble fabrics (torus, ring: see

@@ -3,7 +3,7 @@
 The array backend (:mod:`repro.noc.array_sim`) is a pure performance
 refactor — structure-of-arrays state plus a gated-epoch span fast path —
 and its contract is **exact** equality with the object kernel, not
-approximate agreement (see ``docs/backends.md``).  Three layers enforce
+approximate agreement (see ``docs/backends.md``).  Four layers enforce
 it here:
 
 1. every committed golden fingerprint, re-run with ``backend="object"``
@@ -14,7 +14,9 @@ it here:
    fault-injection and online-learning legs,
 3. hypothesis-driven random small configs, where the *shape* of the
    config (topology, flit sizes, buffer depth, epoch length, switching)
-   is the fuzzed surface.
+   is the fuzzed surface,
+4. a neighbour-reading (full-41) training capture on both kernels,
+   against the same capture forced to run one cycle at a time.
 
 Divergence in any summary field is a bug in the array kernel by
 definition — the object kernel is the reference semantics.
@@ -33,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro.common.config import SimConfig
 from repro.core.controller import make_policy
+from repro.core.features import FULL_FEATURES
 from repro.experiments.runner import MODEL_NAMES, ModelMetrics
 from repro.noc.array_sim import ArraySimulator
 from repro.noc.simulator import Simulator, run_simulation
@@ -164,6 +167,48 @@ def test_hypothesis_configs_equivalent(
         weights = rng.normal(0.0, 0.3, size=5)
     ref, got = _run_both(config, trace, policy, weights=weights)
     _assert_equal(ref, got, f"hypothesis {policy}/{bench}")
+
+
+# --------------------------------------------------------------------- #
+# Layer 4: neighbour-reading captures against the per-cycle reference
+# --------------------------------------------------------------------- #
+
+class _PerCycle:
+    """No-op timeline sampler: observing every fire forces both kernels
+    to execute one cycle at a time."""
+
+    def maybe_sample(self, sim) -> None:
+        return None
+
+
+def test_full41_capture_matches_per_cycle_reference():
+    """DozzNoC-41 training capture equals the per-cycle capture.
+
+    The full-41 set reads neighbour state (``neighbor_ibu_*`` divides a
+    gated neighbour's ``occ_sum`` by its ``epoch_cycle``), so no kernel
+    may defer or pre-credit a neighbour's counters while capturing it.
+    canneal's sparse bursts leave routers gated for most of each epoch.
+    """
+    config = SimConfig(topology="mesh", radix=4, epoch_cycles=100)
+    trace = generate_benchmark_trace(
+        "canneal", num_cores=config.num_cores, duration_ns=1500.0, seed=0
+    )
+
+    def capture(backend, timeline=None):
+        policy = make_policy("dozznoc", feature_set=FULL_FEATURES)
+        result = run_simulation(
+            config.with_(backend=backend), trace, policy,
+            collect_features=True, timeline=timeline,
+        )
+        assert policy.uses_gating and not policy.proactive
+        return result.stats.training_matrices()
+
+    x_ref, y_ref = capture("object", timeline=_PerCycle())
+    assert x_ref.shape[0] > 0
+    for backend in ("object", "array"):
+        x, y = capture(backend)
+        np.testing.assert_array_equal(x, x_ref, err_msg=backend)
+        np.testing.assert_array_equal(y, y_ref, err_msg=backend)
 
 
 # --------------------------------------------------------------------- #

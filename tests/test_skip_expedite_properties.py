@@ -1,14 +1,12 @@
-"""Batched heartbeat skipping must be invisible.
+"""Gated-heartbeat skipping must be invisible.
 
-The kernel elides heartbeats of gated routers (``_heartbeat_skip``) and
-rolls the elided credits back when a router is expedited mid-batch
-(``_expedite``).  The optimization's contract is *exactness*: a run with
-skipping enabled is bit-identical — summary metrics, per-router off-cycle
-counters, energy residency — to the same run executed one heartbeat at a
-time.  These property tests force the per-step path with a no-op timeline
-sampler (``_allow_skip`` is only true when ``timeline is None``) and
-compare against the skipping path across random gated-traffic workloads,
-with invariant audits on for both runs.
+The array kernel elides heartbeats of gated routers as ``GATED`` spans,
+interrupts a span when a secure() wakes the router mid-span, and rolls
+back elided heartbeats a terminated run never reached.  The object
+kernel fires every heartbeat one cycle at a time.  The contract is
+*exactness*: the two kernels agree bit for bit — summary metrics,
+per-router off-cycle and epoch counters, energy residency — across
+random gated-traffic workloads, with invariant audits on for both runs.
 """
 
 from __future__ import annotations
@@ -17,20 +15,25 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.common.config import SimConfig
 from repro.core.controller import make_policy
+from repro.noc.array_sim import _SPAN_GATED, ArraySimulator
 from repro.noc.simulator import Simulator
 from repro.traffic.trace import KIND_REQUEST, KIND_RESPONSE, Trace
 from repro.validate import InvariantAuditor
 
 
-class _ForcePerStep:
-    """Timeline stand-in whose only effect is disabling heartbeat skip."""
+class _CountingArray(ArraySimulator):
+    """Array kernel that counts the GATED spans it folds."""
 
-    def maybe_sample(self, sim) -> None:
-        return None
+    gated_folds = 0
+
+    def _fold_span(self, router, kept):
+        if kept > 0 and self._span_kind[router.rid] == _SPAN_GATED:
+            self.gated_folds += 1
+        super()._fold_span(router, kept)
 
 
 # Small epochs and idle-heavy traffic so gating (and thus skipping,
-# expediting, and epoch-boundary interactions) actually happens.
+# wake interrupts, and epoch-boundary interactions) actually happens.
 CFG = SimConfig(topology="mesh", radix=3, concentration=1, epoch_cycles=40,
                 t_idle=2)
 
@@ -56,17 +59,32 @@ def gappy_traffic(draw):
     return entries, policy
 
 
-def _run(entries, policy, skip: bool):
+def _run_both(entries, policy, config=CFG):
+    """(object sim, result), (array sim, result), both audited."""
     trace = Trace.from_entries(entries, 9, "skipprop")
-    sim = Simulator(
-        CFG,
-        trace,
-        make_policy(policy),
-        timeline=None if skip else _ForcePerStep(),
-        audit=InvariantAuditor(),
-    )
-    result = sim.run()
-    return sim, result
+    runs = []
+    for cls, cfg in ((Simulator, config),
+                     (_CountingArray, config.with_(backend="array"))):
+        sim = cls(cfg, trace, make_policy(policy), audit=InvariantAuditor())
+        runs.append((sim, sim.run()))
+    return runs
+
+
+def _assert_same_routers(sim_obj, sim_arr):
+    for r_obj, r_arr in zip(sim_obj.network.routers,
+                            sim_arr.network.routers):
+        # Interrupts and end-of-run rollback must keep exactly the
+        # heartbeats the per-cycle kernel ran; any off-by-one shows here.
+        assert r_arr.total_off_cycles == r_obj.total_off_cycles
+        assert r_arr.gated_ticks == r_obj.gated_ticks
+        assert list(r_arr.mode_ticks) == list(r_obj.mode_ticks)
+        assert r_arr.epoch_cycle == r_obj.epoch_cycle
+    acc_obj, acc_arr = sim_obj.accountant, sim_arr.accountant
+    assert (acc_arr.gated_time_ns == acc_obj.gated_time_ns).all()
+    assert (acc_arr.powered_time_ns == acc_obj.powered_time_ns).all()
+    # Both legs were fully audited.
+    assert sim_obj.audit.end_audits == 1
+    assert sim_arr.audit.end_audits == 1
 
 
 class TestSkipExactness:
@@ -78,31 +96,14 @@ class TestSkipExactness:
     @given(gappy_traffic())
     def test_skip_on_off_bit_identical(self, data):
         entries, policy = data
-        sim_on, res_on = _run(entries, policy, skip=True)
-        sim_off, res_off = _run(entries, policy, skip=False)
-        assert sim_on._allow_skip and not sim_off._allow_skip
+        (sim_obj, res_obj), (sim_arr, res_arr) = _run_both(entries, policy)
+        # The array leg runs with spans (GATED included) enabled.
+        assert sim_arr._span_ok
 
-        assert res_on.summary() == res_off.summary()
-        assert res_on.drained == res_off.drained
-        assert res_on.stats.latencies_ns == res_off.stats.latencies_ns
-
-        for r_on, r_off in zip(sim_on.network.routers,
-                               sim_off.network.routers):
-            # _expedite must roll back exactly the heartbeats that were
-            # credited but never elided; any off-by-one shows up here.
-            assert r_on.total_off_cycles == r_off.total_off_cycles
-            assert r_on.gated_ticks == r_off.gated_ticks
-            assert list(r_on.mode_ticks) == list(r_off.mode_ticks)
-            assert r_on.epoch_cycle == r_off.epoch_cycle
-
-        acc_on, acc_off = sim_on.accountant, sim_off.accountant
-        assert (acc_on.gated_time_ns == acc_off.gated_time_ns).all()
-        assert (acc_on.powered_time_ns == acc_off.powered_time_ns).all()
-
-        # Both legs were fully audited, and skipping actually happened on
-        # at least some runs (sanity that the test exercises the path).
-        assert sim_on.audit.end_audits == 1
-        assert sim_off.audit.end_audits == 1
+        assert res_arr.summary() == res_obj.summary()
+        assert res_arr.drained == res_obj.drained
+        assert res_arr.stats.latencies_ns == res_obj.stats.latencies_ns
+        _assert_same_routers(sim_obj, sim_arr)
 
     @settings(
         max_examples=15,
@@ -111,32 +112,24 @@ class TestSkipExactness:
     )
     @given(gappy_traffic(), st.floats(min_value=50.0, max_value=500.0))
     def test_skip_exact_under_horizon(self, data, horizon):
-        # Horizon runs stop mid-flight — the skip bookkeeping must agree
-        # even when the run is truncated at an arbitrary point.
+        # Horizon runs stop mid-flight — open spans must roll back to
+        # exactly the heartbeats that ran, at an arbitrary stop point.
         entries, policy = data
-        cfg = SimConfig(topology="mesh", radix=3, concentration=1,
-                        epoch_cycles=40, t_idle=2, horizon_ns=horizon)
-        trace = Trace.from_entries(entries, 9, "skipprop-h")
-        runs = []
-        for timeline in (None, _ForcePerStep()):
-            sim = Simulator(cfg, trace, make_policy(policy),
-                            timeline=timeline, audit=True)
-            runs.append((sim, sim.run()))
-        (sim_on, res_on), (sim_off, res_off) = runs
-        assert res_on.summary() == res_off.summary()
-        for r_on, r_off in zip(sim_on.network.routers,
-                               sim_off.network.routers):
-            assert r_on.total_off_cycles == r_off.total_off_cycles
-            assert r_on.gated_ticks == r_off.gated_ticks
-            assert list(r_on.mode_ticks) == list(r_off.mode_ticks)
+        cfg = CFG.with_(horizon_ns=horizon)
+        (sim_obj, res_obj), (sim_arr, res_arr) = _run_both(
+            entries, policy, cfg
+        )
+        assert res_arr.summary() == res_obj.summary()
+        assert res_arr.drained == res_obj.drained
+        _assert_same_routers(sim_obj, sim_arr)
 
 
 def test_gating_and_skipping_actually_occur():
     """Guard against the property tests silently testing nothing."""
     entries = [(0, 8, KIND_REQUEST, 50.0), (8, 0, KIND_RESPONSE, 700.0)]
-    sim, res = _run(entries, "pg", skip=True)
-    assert res.drained
-    assert any(r.total_off_cycles > 0 for r in sim.network.routers)
-    # Elided heartbeats: fires are far fewer than gated cycles would need.
-    total_off = sum(r.total_off_cycles for r in sim.network.routers)
-    assert total_off > 0
+    (sim_obj, res_obj), (sim_arr, res_arr) = _run_both(entries, "pg")
+    assert res_obj.drained and res_arr.drained
+    assert any(r.total_off_cycles > 0 for r in sim_obj.network.routers)
+    # The array kernel elided gated heartbeats as GATED spans.
+    assert sim_arr.gated_folds > 0
+    _assert_same_routers(sim_obj, sim_arr)
