@@ -190,10 +190,11 @@ def _bench_backend_case(policy_name, rounds):
     """
     from time import perf_counter
 
+    object_config = FULL_CONFIG.with_(backend="object")
     array_config = FULL_CONFIG.with_(backend="array")
 
     def run_object():
-        return run_simulation(FULL_CONFIG, TRACE, make_policy(policy_name))
+        return run_simulation(object_config, TRACE, make_policy(policy_name))
 
     def run_array():
         return run_simulation(array_config, TRACE, make_policy(policy_name))
@@ -303,16 +304,18 @@ def test_object_backend_speed_canary():
     """Catastrophic-regression canary for the object kernel's hot loop.
 
     The hoisted ``_fire``/``_forward`` bindings must never be *undone*:
-    best-of-7 on the 1000 ns case runs in ~0.07 s here, so a 2 s ceiling
-    only trips on an order-of-magnitude regression, not machine noise.
+    best-of-7 on the 1000 ns case runs in ~0.1 s on the object kernel (a
+    2-vCPU x86 box), so a 2 s ceiling only trips on an order-of-magnitude
+    regression, not machine noise.
     """
     from time import perf_counter
 
-    run_simulation(CONFIG, TRACE, make_policy("dozznoc"))  # warm-up
+    config = CONFIG.with_(backend="object")
+    run_simulation(config, TRACE, make_policy("dozznoc"))  # warm-up
     best = float("inf")
     for _ in range(7):
         t0 = perf_counter()
-        run_simulation(CONFIG, TRACE, make_policy("dozznoc"))
+        run_simulation(config, TRACE, make_policy("dozznoc"))
         best = min(best, perf_counter() - t0)
     assert best < 2.0, (
         f"object kernel took {best:.3f}s best-of-7 on the 1000 ns case — "

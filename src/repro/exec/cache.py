@@ -1,9 +1,17 @@
 """Content-addressed on-disk cache for simulation results.
 
 Mirrors what :func:`repro.ml.training.cached_train` does for trained
-weights, but for *simulation runs*: a :class:`RunCache` stores one
-:class:`~repro.experiments.runner.ModelMetrics` per run, keyed by a stable
-hash of everything that determines the run's outcome:
+weights, but for *simulation runs*.  A :class:`RunCache` stores two
+entry kinds, each under its own file prefix and key:
+
+* ``run`` — one :class:`~repro.experiments.runner.ModelMetrics` per
+  evaluation run (JSON),
+* ``capture`` — the reactive training captures of one (policy, config,
+  feature set), one ``(X, y)`` dataset per trace (``.npz``; see
+  :func:`capture_key`).
+
+Both are keyed by a stable hash of everything that determines the
+run's outcome:
 
 * the full :class:`~repro.common.config.SimConfig` (every field except the
   non-semantic ``extra`` dict),
@@ -14,8 +22,8 @@ hash of everything that determines the run's outcome:
   a simulation's outcome, so editing the kernel invalidates old results,
 * a schema version for the serialized payload itself.
 
-Entries are JSON files written atomically (temp file + rename).  A read
-validates the schema, the embedded key, and the metric fields; anything
+Entries are written atomically (temp file + rename).  A read validates
+the schema, the embedded key, and the payload's fields; anything
 corrupted, truncated, or stale is **discarded, never trusted** — the run
 is simply re-simulated.
 """
@@ -24,9 +32,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import tempfile
+import zipfile
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -176,6 +186,32 @@ def run_key(
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:24]
 
 
+def capture_key(
+    policy: str,
+    config: SimConfig,
+    feature_names: tuple[str, ...],
+    feature_set_name: str,
+) -> str:
+    """The content address of one capture entry.
+
+    A reactive run reads no weights and charges no label energy, so its
+    ``(X, y)`` depends only on the policy, trace, config, captured
+    feature set and code version.  One entry holds every trace's capture
+    for one (policy, config, feature set), keyed inside by
+    :func:`~repro.traffic.trace.trace_fingerprint`; the ``capture`` kind
+    keeps it from ever aliasing a run entry.
+    """
+    parts = [
+        f"schema={SCHEMA_VERSION}",
+        f"code={code_version()}",
+        "kind=capture",
+        f"policy={policy}",
+        f"features={feature_set_name}:{','.join(feature_names)}",
+        f"config={_config_digest_parts(config)}",
+    ]
+    return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:24]
+
+
 def _metrics_to_payload(key: str, metrics: "ModelMetrics") -> dict:
     data = dataclasses.asdict(metrics)
     data["mode_distribution"] = {
@@ -211,14 +247,67 @@ def _metrics_from_payload(key: str, payload: dict) -> "ModelMetrics":
     return ModelMetrics(**data)
 
 
+def _encode_run(key: str, metrics: "ModelMetrics") -> bytes:
+    return json.dumps(_metrics_to_payload(key, metrics)).encode()
+
+
+def _decode_run(key: str, data: bytes) -> "ModelMetrics":
+    return _metrics_from_payload(key, json.loads(data))
+
+
+#: A capture entry: trace fingerprint -> that trace's ``(X, y)``.
+Captures = dict[str, tuple[np.ndarray, np.ndarray]]
+
+
+def _encode_capture(key: str, captures: Captures) -> bytes:
+    members = {}
+    for fingerprint, (x, y) in sorted(captures.items()):
+        members[f"x_{fingerprint}"] = x
+        members[f"y_{fingerprint}"] = y
+    buf = io.BytesIO()
+    np.savez(buf, schema=SCHEMA_VERSION, key=key, code=code_version(),
+             **members)
+    return buf.getvalue()
+
+
+def _decode_capture(key: str, data: bytes) -> Captures:
+    """Rebuild one capture entry; raises on any inconsistency."""
+    captures: Captures = {}
+    with np.load(io.BytesIO(data), allow_pickle=False) as entry:
+        if int(entry["schema"]) != SCHEMA_VERSION:
+            raise ValueError(f"schema mismatch: {entry['schema']!r}")
+        if str(entry["key"]) != key:
+            raise ValueError("cache entry key does not match its address")
+        if str(entry["code"]) != code_version():
+            raise ValueError("cache entry predates the current code")
+        for name in entry.files:
+            if name.startswith("x_"):
+                x, y = entry[name], entry[f"y_{name[2:]}"]
+                if x.ndim != 2 or y.ndim != 1 or len(x) != len(y):
+                    raise ValueError(
+                        f"capture shapes mismatch: {x.shape}, {y.shape}"
+                    )
+                captures[name[2:]] = (x, y)
+    return captures
+
+
+#: Entry kind -> (file suffix, encoder, decoder).
+_KINDS = {
+    "run": ("json", _encode_run, _decode_run),
+    "capture": ("npz", _encode_capture, _decode_capture),
+}
+
+
 class RunCache:
-    """Content-addressed store of per-run :class:`ModelMetrics`.
+    """Content-addressed store of per-run results.
 
     Parameters
     ----------
     cache_dir:
-        Directory for entries (created on first write).  One JSON file per
-        run, named ``run-<key>.json``.
+        Directory for entries (created on first write).  One file per
+        entry, named ``<kind>-<key>.<suffix>``: ``run-<key>.json`` holds
+        a :class:`ModelMetrics`, ``capture-<key>.npz`` the training
+        captures of one (policy, config, feature set), per trace.
     """
 
     def __init__(self, cache_dir: str | Path) -> None:
@@ -227,20 +316,20 @@ class RunCache:
         self.misses = 0
         self.discarded = 0
 
-    def path_for(self, key: str) -> Path:
+    def path_for(self, key: str, kind: str = "run") -> Path:
         """Filesystem location of one cache entry."""
-        return self.cache_dir / f"run-{key}.json"
+        return self.cache_dir / f"{kind}-{key}.{_KINDS[kind][0]}"
 
-    def get(self, key: str) -> ModelMetrics | None:
-        """Look up one run; corrupted or stale entries are deleted."""
-        path = self.path_for(key)
+    def get(self, key: str, kind: str = "run"):
+        """Look up one entry; corrupted or stale entries are deleted."""
+        path = self.path_for(key, kind)
         try:
-            payload = json.loads(path.read_text())
-            metrics = _metrics_from_payload(key, payload)
+            value = _KINDS[kind][2](key, path.read_bytes())
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (ValueError, KeyError, TypeError, OSError):
+        except (ValueError, KeyError, TypeError, OSError,
+                zipfile.BadZipFile, EOFError):
             # Corrupted / truncated / wrong-schema entry: do not trust it.
             self.discarded += 1
             self.misses += 1
@@ -250,10 +339,10 @@ class RunCache:
                 pass
             return None
         self.hits += 1
-        return metrics
+        return value
 
-    def put(self, key: str, metrics: ModelMetrics) -> None:
-        """Store one run crash-safely: temp file + fsync + atomic rename.
+    def put(self, key: str, value, kind: str = "run") -> None:
+        """Store one entry crash-safely: temp file + fsync + atomic rename.
 
         A reader never observes a partial entry — either the old state or
         the complete new file.  The fsync before the rename closes the
@@ -266,17 +355,17 @@ class RunCache:
         """
         try:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-            payload = json.dumps(_metrics_to_payload(key, metrics))
+            payload = _KINDS[kind][1](key, value)
             fd, tmp = tempfile.mkstemp(
-                prefix=f".run-{os.getpid()}-", suffix=".tmp",
+                prefix=f".{kind}-{os.getpid()}-", suffix=".tmp",
                 dir=self.cache_dir,
             )
             try:
-                with os.fdopen(fd, "w") as fh:
+                with os.fdopen(fd, "wb") as fh:
                     fh.write(payload)
                     fh.flush()
                     os.fsync(fh.fileno())
-                os.replace(tmp, self.path_for(key))
+                os.replace(tmp, self.path_for(key, kind))
             except OSError:
                 os.unlink(tmp)
                 raise
@@ -290,3 +379,8 @@ class RunCache:
             "misses": self.misses,
             "discarded": self.discarded,
         }
+
+
+def run_cache_for(cache_dir: str | Path | None) -> RunCache | None:
+    """The run cache under an experiment cache directory (None: uncached)."""
+    return None if cache_dir is None else RunCache(Path(cache_dir) / "runs")

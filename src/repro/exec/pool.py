@@ -1,8 +1,8 @@
-"""Process-pool fan-out for independent simulation and training tasks.
+"""Process-pool fan-out for independent simulation and capture tasks.
 
 The campaign workload is embarrassingly parallel: every (model, trace)
-simulation and every per-model ridge training is independent of the
-others.  This module fans those tasks over a
+evaluation run and every (model, trace) reactive training capture is
+independent of the others.  This module fans those tasks over a
 :class:`~concurrent.futures.ProcessPoolExecutor`:
 
 * ``jobs=1`` (the default) never spawns a pool — everything runs inline,
@@ -42,18 +42,21 @@ from repro.common.config import SimConfig
 from repro.common.errors import PoolTimeoutError
 from repro.core.controller import make_policy
 from repro.core.features import FULL_FEATURES, REDUCED_FEATURES, FeatureSet
-from repro.exec.cache import RunCache, run_key
+from repro.exec.cache import RunCache, capture_key, run_cache_for, run_key
 from repro.exec.journal import CampaignJournal
 from repro.faults import FaultConfig
 from repro.models.online import OnlineConfig
+from repro.ml.ridge import RidgeModel
 from repro.ml.training import (
     DEFAULT_LAMBDAS,
     TrainingResult,
-    cached_train,
-    train_policy_model,
+    fit_policy_model,
+    publish_ridge,
+    ridge_cache_path,
+    stack_dataset,
 )
 from repro.noc.simulator import run_simulation
-from repro.traffic.trace import Trace
+from repro.traffic.trace import Trace, trace_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - avoids an exec<->experiments cycle
     from repro.experiments.runner import ModelMetrics
@@ -118,6 +121,18 @@ def feature_set_spec(feature_set: FeatureSet) -> str | FeatureSet:
     return feature_set
 
 
+def capture_feature_set(feature_set: FeatureSet) -> FeatureSet:
+    """The narrowest canonical set a capture of ``feature_set`` runs at.
+
+    Reduced-5 covers every set whose names it contains (main training
+    and all of fig9's single-feature sets), which are then sliced from
+    it by column name; anything else (full-41) is captured as itself.
+    """
+    if set(feature_set.names) <= set(REDUCED_FEATURES.names):
+        return REDUCED_FEATURES
+    return feature_set
+
+
 # ---------------------------------------------------------------------- #
 # Task descriptions + module-level workers (picklable by construction)
 # ---------------------------------------------------------------------- #
@@ -174,8 +189,37 @@ class SimTask:
 
 
 @dataclass(frozen=True, eq=False)
+class CaptureTask:
+    """One reactive training capture: (policy, trace, config) -> ``(X, y)``.
+
+    A reactive run reads no weights and charges no label energy, so its
+    dataset depends only on these fields and the kernel code.  The run
+    happens at :func:`capture_feature_set` of ``feature_set``; the
+    result is sliced to ``feature_set``'s own columns.
+    """
+
+    policy: str
+    trace: Trace
+    sim: SimConfig
+    feature_set: str | FeatureSet = REDUCED_FEATURES.name
+
+    def captured_set(self) -> FeatureSet:
+        """The feature set this task's run actually extracts."""
+        return capture_feature_set(resolve_feature_set(self.feature_set))
+
+    def cache_key(self) -> str:
+        """Address of the cache entry holding this capture.
+
+        One entry per (policy, config, captured set): every trace and
+        every feature set that set covers share it.
+        """
+        fs = self.captured_set()
+        return capture_key(self.policy, self.sim, fs.names, fs.name)
+
+
+@dataclass(frozen=True, eq=False)
 class TrainTask:
-    """One model's offline training phase (collect, sweep lambda, fit)."""
+    """One model's offline training phase (capture, sweep lambda, fit)."""
 
     policy: str
     train_traces: tuple[Trace, ...]
@@ -226,30 +270,15 @@ def execute_sim_task(task: SimTask) -> "ModelMetrics":
     return ModelMetrics.from_result(result)
 
 
-def execute_train_weights(task: TrainTask) -> np.ndarray:
-    """Worker body: train (or reload from cache) one model's weights."""
-    ridge = cached_train(
-        task.policy,
-        task.train_traces,
-        task.validation_traces,
-        task.sim,
+def execute_capture_task(task: CaptureTask) -> tuple[np.ndarray, np.ndarray]:
+    """Worker body: one reactive run's ``(X, y)`` at its feature set."""
+    policy = make_policy(
+        task.policy, weights=None,
         feature_set=resolve_feature_set(task.feature_set),
-        lambdas=task.lambdas,
-        cache_dir=task.cache_dir,
     )
-    return ridge.weights
-
-
-def execute_train_task(task: TrainTask) -> TrainingResult:
-    """Worker body: full offline phase incl. validation diagnostics."""
-    return train_policy_model(
-        task.policy,
-        task.train_traces,
-        task.validation_traces,
-        task.sim,
-        feature_set=resolve_feature_set(task.feature_set),
-        lambdas=task.lambdas,
-    )
+    result = run_simulation(task.sim, task.trace, policy,
+                            collect_features=True)
+    return result.stats.training_matrices()
 
 
 # ---------------------------------------------------------------------- #
@@ -446,8 +475,129 @@ def run_sim_tasks(
     return results  # type: ignore[return-value]
 
 
+def _columns(
+    capture: tuple[np.ndarray, np.ndarray],
+    have: tuple[str, ...],
+    want: tuple[str, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slice a capture's feature columns from ``have`` down to ``want``."""
+    x, y = capture
+    if want == have or not x.size:
+        return capture
+    cols = [have.index(name) for name in want]
+    return np.ascontiguousarray(x[:, cols]), y
+
+
+def run_capture_tasks(
+    tasks: Sequence[CaptureTask],
+    jobs: int | None = 1,
+    cache: RunCache | None = None,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Run reactive training captures, each distinct one exactly once.
+
+    This is the one place a capture runs.  Tasks with the same policy,
+    trace and config whose feature sets one canonical set covers share
+    one run.  Hits come from ``cache`` (its ``capture`` entries, one per
+    policy, config and captured set, holding every trace captured so
+    far); misses fan out over the pool, and each touched entry is
+    written back once the batch ends.  Two processes sharing a cache may
+    drop each other's new members (the last write wins whole); a dropped
+    member is recaptured, never misread.  Every result is sliced to its own
+    task's feature set and returned in task order.  Captures are never
+    journalled: a campaign's journal and pool-health counters describe
+    its evaluation runs only.
+    """
+    tasks = list(tasks)
+    entries: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]] = {}
+    pending: dict[tuple[str, str], CaptureTask] = {}
+    addresses = []
+    for task in tasks:
+        key, member = task.cache_key(), trace_fingerprint(task.trace)
+        addresses.append((key, member))
+        if key not in entries:
+            hit = None if cache is None else cache.get(key, kind="capture")
+            entries[key] = hit or {}
+        if member not in entries[key] and (key, member) not in pending:
+            pending[key, member] = CaptureTask(
+                task.policy, task.trace, task.sim,
+                feature_set_spec(task.captured_set()),
+            )
+    captured = map_tasks(execute_capture_task, list(pending.values()), jobs)
+    for (key, member), capture in zip(pending, captured):
+        entries[key][member] = capture
+    if cache is not None:
+        for key in dict.fromkeys(key for key, _ in pending):
+            cache.put(key, entries[key], kind="capture")
+    return [
+        _columns(entries[key][member], task.captured_set().names,
+                 resolve_feature_set(task.feature_set).names)
+        for task, (key, member) in zip(tasks, addresses)
+    ]
+
+
+def train_models(
+    tasks: Sequence[TrainTask], jobs: int | None = 1
+) -> list[TrainingResult]:
+    """The offline phase for several models at once (order preserved).
+
+    Every (model, trace) capture is one task of a single fan-out, cached
+    under the tasks' shared ``cache_dir``; each model's lambda sweep then
+    runs in the parent over its stacked captures.
+    """
+    tasks = list(tasks)
+    if not tasks:
+        return []
+    cache_dirs = {task.cache_dir for task in tasks}
+    if len(cache_dirs) > 1:
+        raise ValueError("train tasks in one batch must share a cache_dir")
+    captures = iter(run_capture_tasks(
+        [
+            CaptureTask(task.policy, trace, task.sim, task.feature_set)
+            for task in tasks
+            for trace in task.train_traces + task.validation_traces
+        ],
+        jobs,
+        cache=run_cache_for(cache_dirs.pop()),
+    ))
+    results = []
+    for task in tasks:
+        train = stack_dataset(
+            [next(captures) for _ in task.train_traces], task.sim
+        )
+        val = stack_dataset(
+            [next(captures) for _ in task.validation_traces], task.sim
+        )
+        results.append(fit_policy_model(
+            task.policy, train, val,
+            resolve_feature_set(task.feature_set), task.lambdas,
+        ))
+    return results
+
+
 def run_train_tasks(
     tasks: Sequence[TrainTask], jobs: int | None = 1
 ) -> list[np.ndarray]:
-    """Train several models' weights concurrently (order preserved)."""
-    return map_tasks(execute_train_weights, tasks, jobs)
+    """Train several models' weights (order preserved).
+
+    A model whose weights are in the ridge cache under its ``cache_dir``
+    loads them; the others train together through :func:`train_models`
+    and publish theirs.
+    """
+    tasks = list(tasks)
+    paths = [
+        ridge_cache_path(
+            t.policy, t.train_traces, t.validation_traces, t.sim,
+            resolve_feature_set(t.feature_set), t.lambdas, t.cache_dir,
+        )
+        for t in tasks
+    ]
+    weights = [
+        RidgeModel.load(p).weights if p is not None and p.exists() else None
+        for p in paths
+    ]
+    todo = [i for i, w in enumerate(weights) if w is None]
+    for i, result in zip(todo, train_models([tasks[i] for i in todo], jobs)):
+        if paths[i] is not None:
+            publish_ridge(paths[i], result.model)
+        weights[i] = result.model.weights
+    return weights

@@ -12,8 +12,8 @@ Campaign scale (trace duration) is configurable so tests run in seconds
 while the benchmark harness uses paper-scale runs.
 
 Execution is delegated to :mod:`repro.exec`: the independent
-(model, trace) simulations and the per-model training runs fan out over a
-process pool (``jobs``), and simulation results are memoized in a
+(model, trace) simulations and (model, trace) training captures fan out
+over a process pool (``jobs``), and both are memoized in a
 content-addressed on-disk cache (``cache_dir``) so re-running a campaign
 only simulates what changed.  Parallel and serial execution produce
 bit-identical results.
@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.common.config import SimConfig
 from repro.core.features import REDUCED_FEATURES, FeatureSet
-from repro.exec.cache import RunCache
+from repro.exec.cache import RunCache, run_cache_for
 from repro.exec.journal import CampaignJournal
 from repro.exec.pool import (
     PoolHealth,
@@ -203,9 +203,10 @@ def train_ml_models(
 ) -> dict[str, np.ndarray]:
     """Offline phase: one trained weight vector per ML model.
 
-    Independent models train concurrently when ``jobs`` allows; each
-    worker honours the same weights cache as the serial path.  Models in
-    ``skip`` (served from the model registry) are not trained.
+    Every (model, trace) capture fans out over ``jobs`` workers and is
+    cached under the campaign's ``cache_dir`` alongside the trained
+    weights.  Models in ``skip`` (served from the model registry) are
+    not trained.
     """
     jobs = campaign.jobs if jobs is None else jobs
     spec = feature_set_spec(campaign.feature_set)
@@ -231,9 +232,7 @@ def train_ml_models(
 
 def campaign_run_cache(campaign: CampaignConfig) -> RunCache | None:
     """The simulation-result cache a campaign's config implies."""
-    if campaign.cache_dir is None:
-        return None
-    return RunCache(Path(campaign.cache_dir) / "runs")
+    return run_cache_for(campaign.cache_dir)
 
 
 def campaign_journal(campaign: CampaignConfig) -> CampaignJournal | None:

@@ -20,12 +20,14 @@ from repro.core.features import (
     SINGLE_FEATURE_CANDIDATES,
     single_feature_set,
 )
+from repro.exec.cache import run_cache_for
 from repro.exec.pool import (
+    CaptureTask,
     SimTask,
     TrainTask,
-    execute_train_task,
-    map_tasks,
+    run_capture_tasks,
     run_sim_tasks,
+    train_models,
 )
 from repro.experiments.campaign import (
     CampaignConfig,
@@ -34,7 +36,7 @@ from repro.experiments.campaign import (
 )
 from repro.ml.metrics import mode_selection_accuracy
 from repro.ml.ridge import fit_ridge
-from repro.ml.training import collect_dataset
+from repro.ml.training import stack_dataset
 from repro.regulator.efficiency import EfficiencyComparison, compare_efficiency
 from repro.regulator.ldo import LdoModel, LdoTransient
 from repro.traffic.suite import build_suite
@@ -75,15 +77,6 @@ class EvalScale:
     def cmesh(cls, cache_dir: str | Path | None = None) -> "EvalScale":
         return cls(sim=SimConfig.paper_cmesh(), duration_ns=12_000.0,
                    cache_dir=cache_dir)
-
-
-def _scale_run_cache(scale: EvalScale):
-    """The run-level cache a scale implies (None when uncached)."""
-    if scale.cache_dir is None:
-        return None
-    from repro.exec.cache import RunCache
-
-    return RunCache(Path(scale.cache_dir) / "runs")
 
 
 # ---------------------------------------------------------------------- #
@@ -207,7 +200,10 @@ def fig9_feature_accuracy(scale: EvalScale | None = None) -> list[FeatureAccurac
 
     For each candidate feature, a ridge model is trained on the training
     traces and its *mode-selection accuracy* (same mode as the true future
-    IBU would select) is measured on each test trace.
+    IBU would select) is measured on each test trace.  Every candidate
+    set is covered by reduced-5, so the whole study is one capture batch:
+    each training and test trace is captured once (or read from the run
+    cache) and sliced per feature.
     """
     scale = scale or EvalScale()
     suite = build_suite(
@@ -215,14 +211,25 @@ def fig9_feature_accuracy(scale: EvalScale | None = None) -> list[FeatureAccurac
         duration_ns=scale.duration_ns,
         seed=scale.seed,
     )
+    sets = [single_feature_set(f) for f in SINGLE_FEATURE_CANDIDATES]
+    captures = iter(run_capture_tasks(
+        [
+            CaptureTask("dozznoc", trace, scale.sim, fs)
+            for fs in sets
+            for trace in suite.train + suite.test
+        ],
+        jobs=scale.jobs,
+        cache=run_cache_for(scale.cache_dir),
+    ))
     results = []
-    for feature in SINGLE_FEATURE_CANDIDATES:
-        fs = single_feature_set(feature)
-        x_train, y_train = collect_dataset("dozznoc", suite.train, scale.sim, fs)
+    for feature, fs in zip(SINGLE_FEATURE_CANDIDATES, sets):
+        x_train, y_train = stack_dataset(
+            [next(captures) for _ in suite.train], scale.sim
+        )
         model = fit_ridge(x_train, y_train, lam=1e-2, feature_names=fs.names)
         per_bench: dict[str, float] = {}
         for trace in suite.test:
-            x_test, y_test = collect_dataset("dozznoc", [trace], scale.sim, fs)
+            x_test, y_test = stack_dataset([next(captures)], scale.sim)
             per_bench[trace.name] = mode_selection_accuracy(
                 y_test, model.predict(x_test)
             )
@@ -252,9 +259,9 @@ def epoch_size_sweep(
     """Sweep the decision-epoch size, retraining per size (Section IV.B.1).
 
     The paper trains one model per epoch size and reports that 500 balances
-    model quality against the amount of training data per trace.  Each
-    epoch size is an independent training run, so the sweep fans out over
-    ``scale.jobs`` workers.
+    model quality against the amount of training data per trace.  Every
+    (epoch size, trace) capture is an independent task, so the sweep fans
+    out over ``scale.jobs`` workers and caches under ``scale.cache_dir``.
     """
     scale = scale or EvalScale()
     suite = build_suite(
@@ -269,10 +276,13 @@ def epoch_size_sweep(
             validation_traces=suite.validation,
             sim=scale.sim.with_(epoch_cycles=epoch),
             feature_set=REDUCED_FEATURES.name,
+            cache_dir=(
+                None if scale.cache_dir is None else str(scale.cache_dir)
+            ),
         )
         for epoch in epoch_sizes
     ]
-    results = map_tasks(execute_train_task, tasks, jobs=scale.jobs)
+    results = train_models(tasks, jobs=scale.jobs)
     return [
         EpochSweepPoint(
             epoch_cycles=epoch,
@@ -324,7 +334,7 @@ def t_idle_sweep(
         for t_idle in t_idles
     ]
     base, *rest = run_sim_tasks(
-        tasks, jobs=scale.jobs, cache=_scale_run_cache(scale)
+        tasks, jobs=scale.jobs, cache=run_cache_for(scale.cache_dir)
     )
     points = []
     for t_idle, metrics in zip(t_idles, rest):
@@ -380,7 +390,7 @@ def buffer_depth_sweep(
         tasks.append(SimTask(policy="baseline", trace=trace, sim=sim))
         tasks.append(SimTask(policy="dozznoc", trace=trace, sim=sim))
     results = run_sim_tasks(
-        tasks, jobs=scale.jobs, cache=_scale_run_cache(scale)
+        tasks, jobs=scale.jobs, cache=run_cache_for(scale.cache_dir)
     )
     points = []
     for depth, base, metrics in zip(depths, results[::2], results[1::2]):

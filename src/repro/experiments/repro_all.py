@@ -143,11 +143,9 @@ class ReproContext:
 
     def run_cache(self):
         """The run-level cache implied by the scale (None when uncached)."""
-        if self.scale.cache_dir is None:
-            return None
-        from repro.exec.cache import RunCache
+        from repro.exec.cache import run_cache_for
 
-        return RunCache(Path(self.scale.cache_dir) / "runs")
+        return run_cache_for(self.scale.cache_dir)
 
     def campaign(
         self,
@@ -617,10 +615,12 @@ def _build_shadow_promotion(ctx: ReproContext) -> dict:
         seed=ctx.scale.seed + 1,
     )
     incumbent = train_policy_model(
-        "dozznoc", suite.train, suite.validation, ctx.scale.sim
+        "dozznoc", suite.train, suite.validation, ctx.scale.sim,
+        cache_dir=ctx.scale.cache_dir, jobs=ctx.scale.jobs,
     )
     candidate = train_policy_model(
-        "dozznoc", cand_suite.train, cand_suite.validation, ctx.scale.sim
+        "dozznoc", cand_suite.train, cand_suite.validation, ctx.scale.sim,
+        cache_dir=ctx.scale.cache_dir, jobs=ctx.scale.jobs,
     )
     shadow = ShadowScorer(
         candidate.model.weights, incumbent_weights=incumbent.model.weights

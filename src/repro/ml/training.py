@@ -4,7 +4,8 @@ The paper's procedure, reproduced end to end:
 
 1. run the **reactive** version of each ML model (mode selection from the
    *current* epoch's buffer utilization) on the six training traces,
-   exporting every router's features and the future-IBU label each epoch,
+   exporting every router's features and the future-IBU label each epoch
+   (one cached exec-layer capture per trace, see :func:`collect_dataset`),
 2. sweep the lambda hyper-parameter, fitting ridge regression on the
    training set and scoring on the three validation traces until the
    best-fitting weights are found,
@@ -28,11 +29,9 @@ import numpy as np
 
 from repro.common.config import SimConfig
 from repro.common.errors import TrainingError
-from repro.core.controller import make_policy
 from repro.core.features import REDUCED_FEATURES, FeatureSet
 from repro.ml.metrics import mode_selection_accuracy
 from repro.ml.ridge import RidgeModel, fit_ridge, rmse
-from repro.noc.simulator import run_simulation
 from repro.traffic.trace import Trace, trace_fingerprint
 
 #: Default lambda sweep (log-spaced, matching a coarse Matlab-style tune).
@@ -54,21 +53,12 @@ class TrainingResult:
     n_validation_samples: int
 
 
-def collect_dataset(
-    policy_name: str,
-    traces: list[Trace] | tuple[Trace, ...],
-    config: SimConfig,
-    feature_set: FeatureSet = REDUCED_FEATURES,
+def stack_dataset(
+    captures: list[tuple[np.ndarray, np.ndarray]], config: SimConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run reactive simulations and return the stacked ``(X, y)`` dataset."""
-    xs, ys = [], []
-    for trace in traces:
-        policy = make_policy(policy_name, weights=None, feature_set=feature_set)
-        result = run_simulation(config, trace, policy, collect_features=True)
-        x, y = result.stats.training_matrices()
-        if x.size:
-            xs.append(x)
-            ys.append(y)
+    """Stack per-trace captures into one ``(X, y)`` dataset."""
+    xs = [x for x, _ in captures if x.size]
+    ys = [y for x, y in captures if x.size]
     if not xs:
         raise TrainingError(
             "no labelled epochs were collected; traces may be shorter than "
@@ -77,22 +67,47 @@ def collect_dataset(
     return np.vstack(xs), np.concatenate(ys)
 
 
-def train_policy_model(
+def collect_dataset(
     policy_name: str,
-    train_traces: list[Trace] | tuple[Trace, ...],
-    validation_traces: list[Trace] | tuple[Trace, ...],
+    traces: list[Trace] | tuple[Trace, ...],
     config: SimConfig,
+    feature_set: FeatureSet = REDUCED_FEATURES,
+    cache_dir: str | Path | None = None,
+    jobs: int | None = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reactive captures of ``traces``, stacked into one ``(X, y)`` dataset.
+
+    Each trace is one capture task of the exec layer
+    (:func:`repro.exec.pool.run_capture_tasks`): it runs once per
+    (policy, trace, config) at the narrowest canonical feature set that
+    covers ``feature_set``, fans out over ``jobs`` workers, is cached in
+    the run cache under ``cache_dir``, and is sliced to ``feature_set``'s
+    columns.
+    """
+    # Imported here: repro.exec.pool imports this module.
+    from repro.exec.cache import run_cache_for
+    from repro.exec.pool import CaptureTask, run_capture_tasks
+
+    captures = run_capture_tasks(
+        [CaptureTask(policy_name, t, config, feature_set) for t in traces],
+        jobs,
+        cache=run_cache_for(cache_dir),
+    )
+    return stack_dataset(captures, config)
+
+
+def fit_policy_model(
+    policy_name: str,
+    train: tuple[np.ndarray, np.ndarray],
+    validation: tuple[np.ndarray, np.ndarray],
     feature_set: FeatureSet = REDUCED_FEATURES,
     lambdas: tuple[float, ...] = DEFAULT_LAMBDAS,
 ) -> TrainingResult:
-    """The full offline phase for one model: collect, sweep lambda, export."""
+    """Sweep lambda over captured datasets and export the best model."""
     if not lambdas:
         raise TrainingError("lambda sweep is empty")
-    x_train, y_train = collect_dataset(policy_name, train_traces, config, feature_set)
-    x_val, y_val = collect_dataset(
-        policy_name, validation_traces, config, feature_set
-    )
-
+    x_train, y_train = train
+    x_val, y_val = validation
     sweep: dict[float, float] = {}
     best_lam, best_val, best_model = None, np.inf, None
     for lam in lambdas:
@@ -115,6 +130,30 @@ def train_policy_model(
         lambda_sweep=sweep,
         n_train_samples=len(y_train),
         n_validation_samples=len(y_val),
+    )
+
+
+def train_policy_model(
+    policy_name: str,
+    train_traces: list[Trace] | tuple[Trace, ...],
+    validation_traces: list[Trace] | tuple[Trace, ...],
+    config: SimConfig,
+    feature_set: FeatureSet = REDUCED_FEATURES,
+    lambdas: tuple[float, ...] = DEFAULT_LAMBDAS,
+    cache_dir: str | Path | None = None,
+    jobs: int | None = 1,
+) -> TrainingResult:
+    """The full offline phase for one model: capture, sweep lambda, export."""
+    if not lambdas:
+        raise TrainingError("lambda sweep is empty")
+    return fit_policy_model(
+        policy_name,
+        collect_dataset(policy_name, train_traces, config, feature_set,
+                        cache_dir, jobs),
+        collect_dataset(policy_name, validation_traces, config, feature_set,
+                        cache_dir, jobs),
+        feature_set,
+        lambdas,
     )
 
 
@@ -149,6 +188,46 @@ def _cache_key(
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:20]
 
 
+def ridge_cache_path(
+    policy_name: str,
+    train_traces: list[Trace] | tuple[Trace, ...],
+    validation_traces: list[Trace] | tuple[Trace, ...],
+    config: SimConfig,
+    feature_set: FeatureSet,
+    lambdas: tuple[float, ...],
+    cache_dir: str | Path | None,
+) -> Path | None:
+    """Where one model's trained weights are cached (None: uncached)."""
+    if cache_dir is None:
+        return None
+    key = _cache_key(
+        policy_name, feature_set, config, train_traces, validation_traces,
+        lambdas,
+    )
+    return Path(cache_dir) / f"ridge-{policy_name}-{key}.npz"
+
+
+def publish_ridge(path: Path, model: RidgeModel) -> None:
+    """Save trained weights atomically.
+
+    Two processes sharing one cache dir may train the same model
+    concurrently.  Each stages a per-pid .npz and renames it whole, so a
+    reader never loads a half-written archive (training is
+    deterministic, so whichever rename lands last is byte-identical
+    anyway).
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.stem}-{os.getpid()}.npz")
+    try:
+        model.save(tmp)
+        os.replace(tmp, path)
+    finally:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+
+
 def cached_train(
     policy_name: str,
     train_traces: list[Trace] | tuple[Trace, ...],
@@ -158,40 +237,22 @@ def cached_train(
     lambdas: tuple[float, ...] = DEFAULT_LAMBDAS,
     cache_dir: str | Path | None = None,
 ) -> RidgeModel:
-    """Train (or reload) a model; only the weights are cached to disk.
+    """Train (or reload) a model; the weights are cached to disk.
 
     Repeated experiment harness invocations reuse the same trained weights,
-    mirroring the paper's import of offline-trained weight arrays.
+    mirroring the paper's import of offline-trained weight arrays.  The
+    captures behind a training run are cached under the same directory.
     """
-    if cache_dir is not None:
-        key = _cache_key(
-            policy_name,
-            feature_set,
-            config,
-            train_traces,
-            validation_traces,
-            lambdas,
-        )
-        path = Path(cache_dir) / f"ridge-{policy_name}-{key}.npz"
-        if path.exists():
-            return RidgeModel.load(path)
-    result = train_policy_model(
-        policy_name, train_traces, validation_traces, config, feature_set, lambdas
+    path = ridge_cache_path(
+        policy_name, train_traces, validation_traces, config, feature_set,
+        lambdas, cache_dir,
     )
-    if cache_dir is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic publish: two processes sharing one cache dir may train
-        # the same model concurrently.  Each stages a
-        # per-pid .npz and renames it whole, so a reader never loads a
-        # half-written archive (training is deterministic, so whichever
-        # rename lands last is byte-identical anyway).
-        tmp = path.with_name(f".{path.stem}-{os.getpid()}.npz")
-        try:
-            result.model.save(tmp)
-            os.replace(tmp, path)
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-    return result.model
+    if path is not None and path.exists():
+        return RidgeModel.load(path)
+    model = train_policy_model(
+        policy_name, train_traces, validation_traces, config, feature_set,
+        lambdas, cache_dir,
+    ).model
+    if path is not None:
+        publish_ridge(path, model)
+    return model

@@ -2,12 +2,14 @@
 
 Convenience constructors for the paper's train / validation / test split
 (6 / 3 / 5 traces) with optional compression, plus an on-disk cache so
-repeated experiment runs reuse identical trace files.
+repeated experiment runs reuse identical trace files, and an in-process
+memo so repeated builds in one run reuse identical traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from repro.traffic.benchmarks import (
@@ -35,6 +37,13 @@ class TraceSuite:
         return self.train + self.validation + self.test
 
 
+def _read_only(trace: Trace) -> Trace:
+    """Freeze a trace's columns: memoised traces are shared by callers."""
+    for column in (trace.src, trace.dst, trace.kind, trace.t_ns):
+        column.flags.writeable = False
+    return trace
+
+
 def build_suite(
     num_cores: int = 64,
     duration_ns: float = 20_000.0,
@@ -46,23 +55,45 @@ def build_suite(
 
     Parameters mirror :func:`repro.traffic.benchmarks.generate_benchmark_trace`;
     ``compressed`` applies :func:`repro.traffic.compression.compress_trace`
-    to every trace.  When ``cache_dir`` is given, traces are stored as
-    ``.npz`` keyed by their full parameterization.
+    to every trace of the uncompressed suite.  When ``cache_dir`` is
+    given, traces are stored as ``.npz`` keyed by their full
+    parameterization.
+
+    Memoised on its arguments: a repeated call in one process returns
+    the same suite, whose trace arrays are read-only.
     """
+    return _build_suite(num_cores, duration_ns, seed, compressed, cache_dir)
+
+
+@lru_cache(maxsize=8)
+def _build_suite(
+    num_cores: int,
+    duration_ns: float,
+    seed: int,
+    compressed: bool,
+    cache_dir: str | Path | None,
+) -> TraceSuite:
+    """:func:`build_suite`, memoised on its arguments in one order."""
 
     def build(name: str) -> Trace:
         if cache_dir is not None:
             key = f"{name}-{num_cores}-{duration_ns:g}-{seed}-{int(compressed)}.npz"
             path = Path(cache_dir) / key
             if path.exists():
-                return Trace.load_npz(path)
-        trace = generate_benchmark_trace(name, num_cores, duration_ns, seed)
+                return _read_only(Trace.load_npz(path))
         if compressed:
-            trace = compress_trace(trace)
+            plain = _build_suite(num_cores, duration_ns, seed, False, None)
+            trace = compress_trace(
+                next(t for t in plain.all_traces if t.name == name)
+            )
+        else:
+            trace = generate_benchmark_trace(
+                name, num_cores, duration_ns, seed
+            )
         if cache_dir is not None:
             path.parent.mkdir(parents=True, exist_ok=True)
             trace.save_npz(path)
-        return trace
+        return _read_only(trace)
 
     return TraceSuite(
         train=tuple(build(n) for n in TRAIN_BENCHMARKS),

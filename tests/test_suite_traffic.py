@@ -1,4 +1,4 @@
-"""Tests for the 14-trace suite builder and its on-disk cache."""
+"""Tests for the 14-trace suite builder, its memo and its on-disk cache."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from repro.traffic.benchmarks import (
     TRAIN_BENCHMARKS,
     VALIDATION_BENCHMARKS,
 )
+import repro.traffic.suite as suite_mod
 from repro.traffic.suite import TraceSuite, benchmark_names, build_suite
 
 
@@ -62,6 +63,36 @@ class TestSuiteCache:
         build_suite(num_cores=16, duration_ns=400.0, cache_dir=tmp_path,
                     compressed=True)
         assert len(list(tmp_path.glob("*.npz"))) == 28
+
+
+class TestSuiteMemo:
+    def test_repeated_build_returns_the_same_suite(self):
+        a = build_suite(num_cores=16, duration_ns=600.0)
+        assert build_suite(16, 600.0, seed=0, compressed=False) is a
+
+    def test_memoised_trace_is_read_only(self):
+        trace = build_suite(num_cores=16, duration_ns=600.0).train[0]
+        for column in (trace.src, trace.dst, trace.kind, trace.t_ns):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[0]
+
+    def test_generates_each_trace_once(self, monkeypatch):
+        calls = []
+        real = suite_mod.generate_benchmark_trace
+
+        def counting(name, *args):
+            calls.append(name)
+            return real(name, *args)
+
+        monkeypatch.setattr(suite_mod, "generate_benchmark_trace", counting)
+        # A seed no other test builds, so the memo starts empty for it.
+        plain = build_suite(num_cores=16, duration_ns=300.0, seed=4321)
+        comp = build_suite(num_cores=16, duration_ns=300.0, seed=4321,
+                           compressed=True)
+        build_suite(num_cores=16, duration_ns=300.0, seed=4321)
+        assert sorted(calls) == benchmark_names()
+        for a, b in zip(plain.all_traces, comp.all_traces):
+            assert np.array_equal(b.t_ns, a.t_ns * 0.6)
 
 
 class TestNames:
