@@ -1,14 +1,14 @@
 """Content-addressed on-disk cache for simulation results.
 
-Mirrors what :func:`repro.ml.training.cached_train` does for trained
+Mirrors what :func:`repro.exec.pool.run_train_tasks` does for trained
 weights, but for *simulation runs*.  A :class:`RunCache` stores two
 entry kinds, each under its own file prefix and key:
 
 * ``run`` — one :class:`~repro.experiments.runner.ModelMetrics` per
   evaluation run (JSON),
 * ``capture`` — the reactive training captures of one (policy, config,
-  feature set), one ``(X, y)`` dataset per trace (``.npz``; see
-  :func:`capture_key`).
+  feature set, training set), one ``(X, y)`` dataset per trace
+  (``.npz``; see :func:`capture_key`).
 
 Both are keyed by a stable hash of everything that determines the
 run's outcome:
@@ -191,13 +191,15 @@ def capture_key(
     config: SimConfig,
     feature_names: tuple[str, ...],
     feature_set_name: str,
+    group: str,
 ) -> str:
     """The content address of one capture entry.
 
     A reactive run reads no weights and charges no label energy, so its
     ``(X, y)`` depends only on the policy, trace, config, captured
-    feature set and code version.  One entry holds every trace's capture
-    for one (policy, config, feature set), keyed inside by
+    feature set and code version.  One entry holds the captures of one
+    (policy, config, feature set) for one ``group`` — the training set
+    they serve, so an entry never outgrows one suite — keyed inside by
     :func:`~repro.traffic.trace.trace_fingerprint`; the ``capture`` kind
     keeps it from ever aliasing a run entry.
     """
@@ -208,6 +210,7 @@ def capture_key(
         f"policy={policy}",
         f"features={feature_set_name}:{','.join(feature_names)}",
         f"config={_config_digest_parts(config)}",
+        f"group={group}",
     ]
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:24]
 
@@ -307,7 +310,8 @@ class RunCache:
         Directory for entries (created on first write).  One file per
         entry, named ``<kind>-<key>.<suffix>``: ``run-<key>.json`` holds
         a :class:`ModelMetrics`, ``capture-<key>.npz`` the training
-        captures of one (policy, config, feature set), per trace.
+        captures of one (policy, config, feature set, training set),
+        per trace.
     """
 
     def __init__(self, cache_dir: str | Path) -> None:

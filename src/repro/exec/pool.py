@@ -34,6 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
@@ -51,7 +52,6 @@ from repro.ml.training import (
     DEFAULT_LAMBDAS,
     TrainingResult,
     fit_policy_model,
-    publish_ridge,
     ridge_cache_path,
     stack_dataset,
 )
@@ -202,6 +202,9 @@ class CaptureTask:
     trace: Trace
     sim: SimConfig
     feature_set: str | FeatureSet = REDUCED_FEATURES.name
+    #: The cache entry this capture joins: :func:`training_set_group` of
+    #: the training set it serves, so one entry holds at most one suite.
+    group: str = ""
 
     def captured_set(self) -> FeatureSet:
         """The feature set this task's run actually extracts."""
@@ -210,11 +213,18 @@ class CaptureTask:
     def cache_key(self) -> str:
         """Address of the cache entry holding this capture.
 
-        One entry per (policy, config, captured set): every trace and
-        every feature set that set covers share it.
+        One entry per (policy, config, captured set, group): every trace
+        of the group and every feature set that set covers share it.
         """
         fs = self.captured_set()
-        return capture_key(self.policy, self.sim, fs.names, fs.name)
+        return capture_key(self.policy, self.sim, fs.names, fs.name,
+                           self.group)
+
+
+def training_set_group(traces: Sequence[Trace]) -> str:
+    """The capture-entry group of everything captured to train on (and
+    validate or test against) ``traces``."""
+    return ",".join(trace_fingerprint(t) for t in traces)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,7 +237,7 @@ class TrainTask:
     sim: SimConfig
     feature_set: str | FeatureSet = REDUCED_FEATURES.name
     lambdas: tuple[float, ...] = DEFAULT_LAMBDAS
-    cache_dir: str | None = None
+    cache_dir: str | Path | None = None
 
 
 def execute_sim_task(task: SimTask) -> "ModelMetrics":
@@ -498,14 +508,14 @@ def run_capture_tasks(
     This is the one place a capture runs.  Tasks with the same policy,
     trace and config whose feature sets one canonical set covers share
     one run.  Hits come from ``cache`` (its ``capture`` entries, one per
-    policy, config and captured set, holding every trace captured so
-    far); misses fan out over the pool, and each touched entry is
-    written back once the batch ends.  Two processes sharing a cache may
-    drop each other's new members (the last write wins whole); a dropped
-    member is recaptured, never misread.  Every result is sliced to its own
-    task's feature set and returned in task order.  Captures are never
-    journalled: a campaign's journal and pool-health counters describe
-    its evaluation runs only.
+    policy, config, captured set and task ``group``, holding every trace
+    of the group captured so far); misses fan out over the pool, and
+    each touched entry is written back once the batch ends.  Two
+    processes sharing a cache may drop each other's new members (the
+    last write wins whole); a dropped member is recaptured, never
+    misread.  Every result is sliced to its own task's feature set and
+    returned in task order.  Captures are never journalled: a campaign's
+    journal and pool-health counters describe its evaluation runs only.
     """
     tasks = list(tasks)
     entries: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]] = {}
@@ -552,7 +562,8 @@ def train_models(
         raise ValueError("train tasks in one batch must share a cache_dir")
     captures = iter(run_capture_tasks(
         [
-            CaptureTask(task.policy, trace, task.sim, task.feature_set)
+            CaptureTask(task.policy, trace, task.sim, task.feature_set,
+                        training_set_group(task.train_traces))
             for task in tasks
             for trace in task.train_traces + task.validation_traces
         ],
@@ -598,6 +609,27 @@ def run_train_tasks(
     todo = [i for i, w in enumerate(weights) if w is None]
     for i, result in zip(todo, train_models([tasks[i] for i in todo], jobs)):
         if paths[i] is not None:
-            publish_ridge(paths[i], result.model)
+            _publish_ridge(paths[i], result.model)
         weights[i] = result.model.weights
     return weights
+
+
+def _publish_ridge(path: Path, model: RidgeModel) -> None:
+    """Save trained weights atomically.
+
+    Two processes sharing one cache dir may train the same model
+    concurrently.  Each stages a per-pid .npz and renames it whole, so a
+    reader never loads a half-written archive (training is
+    deterministic, so whichever rename lands last is byte-identical
+    anyway).
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.stem}-{os.getpid()}.npz")
+    try:
+        model.save(tmp)
+        os.replace(tmp, path)
+    finally:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass

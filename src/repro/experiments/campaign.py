@@ -221,9 +221,7 @@ def train_ml_models(
             sim=campaign.sim,
             feature_set=spec,
             lambdas=campaign.lambdas,
-            cache_dir=(
-                None if campaign.cache_dir is None else str(campaign.cache_dir)
-            ),
+            cache_dir=campaign.cache_dir,
         )
         for model in models
     ]

@@ -28,6 +28,7 @@ from repro.exec.pool import (
     run_capture_tasks,
     run_sim_tasks,
     train_models,
+    training_set_group,
 )
 from repro.experiments.campaign import (
     CampaignConfig,
@@ -212,9 +213,10 @@ def fig9_feature_accuracy(scale: EvalScale | None = None) -> list[FeatureAccurac
         seed=scale.seed,
     )
     sets = [single_feature_set(f) for f in SINGLE_FEATURE_CANDIDATES]
+    group = training_set_group(suite.train)
     captures = iter(run_capture_tasks(
         [
-            CaptureTask("dozznoc", trace, scale.sim, fs)
+            CaptureTask("dozznoc", trace, scale.sim, fs, group)
             for fs in sets
             for trace in suite.train + suite.test
         ],
@@ -276,9 +278,7 @@ def epoch_size_sweep(
             validation_traces=suite.validation,
             sim=scale.sim.with_(epoch_cycles=epoch),
             feature_set=REDUCED_FEATURES.name,
-            cache_dir=(
-                None if scale.cache_dir is None else str(scale.cache_dir)
-            ),
+            cache_dir=scale.cache_dir,
         )
         for epoch in epoch_sizes
     ]

@@ -595,7 +595,7 @@ def _build_telemetry(ctx: ReproContext) -> dict:
 
 def _build_shadow_promotion(ctx: ReproContext) -> dict:
     from repro.core.controller import make_policy
-    from repro.ml.training import train_policy_model
+    from repro.exec.pool import TrainTask, train_models
     from repro.models.gates import PromotionGate
     from repro.models.shadow import ShadowScorer
     from repro.noc.simulator import run_simulation
@@ -614,13 +614,13 @@ def _build_shadow_promotion(ctx: ReproContext) -> dict:
         duration_ns=ctx.scale.duration_ns,
         seed=ctx.scale.seed + 1,
     )
-    incumbent = train_policy_model(
-        "dozznoc", suite.train, suite.validation, ctx.scale.sim,
-        cache_dir=ctx.scale.cache_dir, jobs=ctx.scale.jobs,
-    )
-    candidate = train_policy_model(
-        "dozznoc", cand_suite.train, cand_suite.validation, ctx.scale.sim,
-        cache_dir=ctx.scale.cache_dir, jobs=ctx.scale.jobs,
+    incumbent, candidate = train_models(
+        [
+            TrainTask("dozznoc", s.train, s.validation, ctx.scale.sim,
+                      cache_dir=ctx.scale.cache_dir)
+            for s in (suite, cand_suite)
+        ],
+        jobs=ctx.scale.jobs,
     )
     shadow = ShadowScorer(
         candidate.model.weights, incumbent_weights=incumbent.model.weights

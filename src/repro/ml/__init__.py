@@ -8,7 +8,6 @@ from repro.ml.training import (
     TrainingResult,
     collect_dataset,
     train_policy_model,
-    cached_train,
 )
 from repro.ml.analysis import (
     FeatureImportance,
@@ -30,7 +29,6 @@ __all__ = [
     "TrainingResult",
     "collect_dataset",
     "train_policy_model",
-    "cached_train",
     "FeatureImportance",
     "LearningCurvePoint",
     "BandCalibration",

@@ -5,7 +5,8 @@ The paper's procedure, reproduced end to end:
 1. run the **reactive** version of each ML model (mode selection from the
    *current* epoch's buffer utilization) on the six training traces,
    exporting every router's features and the future-IBU label each epoch
-   (one cached exec-layer capture per trace, see :func:`collect_dataset`),
+   (one cached exec-layer capture per trace, see
+   :func:`repro.exec.pool.run_capture_tasks`),
 2. sweep the lambda hyper-parameter, fitting ridge regression on the
    training set and scoring on the three validation traces until the
    best-fitting weights are found,
@@ -21,7 +22,6 @@ matching the paper's per-epoch-size training.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,26 +72,19 @@ def collect_dataset(
     traces: list[Trace] | tuple[Trace, ...],
     config: SimConfig,
     feature_set: FeatureSet = REDUCED_FEATURES,
-    cache_dir: str | Path | None = None,
-    jobs: int | None = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reactive captures of ``traces``, stacked into one ``(X, y)`` dataset.
 
     Each trace is one capture task of the exec layer
-    (:func:`repro.exec.pool.run_capture_tasks`): it runs once per
-    (policy, trace, config) at the narrowest canonical feature set that
-    covers ``feature_set``, fans out over ``jobs`` workers, is cached in
-    the run cache under ``cache_dir``, and is sliced to ``feature_set``'s
+    (:func:`repro.exec.pool.run_capture_tasks`), run at the narrowest
+    canonical feature set that covers ``feature_set`` and sliced to its
     columns.
     """
     # Imported here: repro.exec.pool imports this module.
-    from repro.exec.cache import run_cache_for
     from repro.exec.pool import CaptureTask, run_capture_tasks
 
     captures = run_capture_tasks(
-        [CaptureTask(policy_name, t, config, feature_set) for t in traces],
-        jobs,
-        cache=run_cache_for(cache_dir),
+        [CaptureTask(policy_name, t, config, feature_set) for t in traces]
     )
     return stack_dataset(captures, config)
 
@@ -140,21 +133,19 @@ def train_policy_model(
     config: SimConfig,
     feature_set: FeatureSet = REDUCED_FEATURES,
     lambdas: tuple[float, ...] = DEFAULT_LAMBDAS,
-    cache_dir: str | Path | None = None,
-    jobs: int | None = 1,
 ) -> TrainingResult:
-    """The full offline phase for one model: capture, sweep lambda, export."""
-    if not lambdas:
-        raise TrainingError("lambda sweep is empty")
-    return fit_policy_model(
-        policy_name,
-        collect_dataset(policy_name, train_traces, config, feature_set,
-                        cache_dir, jobs),
-        collect_dataset(policy_name, validation_traces, config, feature_set,
-                        cache_dir, jobs),
-        feature_set,
-        lambdas,
-    )
+    """The full offline phase for one model: capture, sweep lambda, export.
+
+    One task of :func:`repro.exec.pool.train_models`, uncached.
+    """
+    # Imported here: repro.exec.pool imports this module.
+    from repro.exec.pool import TrainTask, train_models
+
+    (result,) = train_models([TrainTask(
+        policy_name, tuple(train_traces), tuple(validation_traces), config,
+        feature_set, lambdas,
+    )])
+    return result
 
 
 #: Canonical trace-identity hash (shared with the run cache in repro.exec).
@@ -197,7 +188,12 @@ def ridge_cache_path(
     lambdas: tuple[float, ...],
     cache_dir: str | Path | None,
 ) -> Path | None:
-    """Where one model's trained weights are cached (None: uncached)."""
+    """Where one model's trained weights are cached (None: uncached).
+
+    Repeated experiment harness invocations reuse the same trained
+    weights, mirroring the paper's import of offline-trained weight
+    arrays (see :func:`repro.exec.pool.run_train_tasks`).
+    """
     if cache_dir is None:
         return None
     key = _cache_key(
@@ -205,54 +201,3 @@ def ridge_cache_path(
         lambdas,
     )
     return Path(cache_dir) / f"ridge-{policy_name}-{key}.npz"
-
-
-def publish_ridge(path: Path, model: RidgeModel) -> None:
-    """Save trained weights atomically.
-
-    Two processes sharing one cache dir may train the same model
-    concurrently.  Each stages a per-pid .npz and renames it whole, so a
-    reader never loads a half-written archive (training is
-    deterministic, so whichever rename lands last is byte-identical
-    anyway).
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.stem}-{os.getpid()}.npz")
-    try:
-        model.save(tmp)
-        os.replace(tmp, path)
-    finally:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-
-
-def cached_train(
-    policy_name: str,
-    train_traces: list[Trace] | tuple[Trace, ...],
-    validation_traces: list[Trace] | tuple[Trace, ...],
-    config: SimConfig,
-    feature_set: FeatureSet = REDUCED_FEATURES,
-    lambdas: tuple[float, ...] = DEFAULT_LAMBDAS,
-    cache_dir: str | Path | None = None,
-) -> RidgeModel:
-    """Train (or reload) a model; the weights are cached to disk.
-
-    Repeated experiment harness invocations reuse the same trained weights,
-    mirroring the paper's import of offline-trained weight arrays.  The
-    captures behind a training run are cached under the same directory.
-    """
-    path = ridge_cache_path(
-        policy_name, train_traces, validation_traces, config, feature_set,
-        lambdas, cache_dir,
-    )
-    if path is not None and path.exists():
-        return RidgeModel.load(path)
-    model = train_policy_model(
-        policy_name, train_traces, validation_traces, config, feature_set,
-        lambdas, cache_dir,
-    ).model
-    if path is not None:
-        publish_ridge(path, model)
-    return model

@@ -1,7 +1,8 @@
 """Tests that the trained-weights cache is content-sensitive."""
 
 from repro.common.config import SimConfig
-from repro.ml.training import _cache_key, _trace_fingerprint, cached_train
+from repro.exec.pool import TrainTask, run_train_tasks
+from repro.ml.training import _cache_key, _trace_fingerprint
 from repro.core.features import REDUCED_FEATURES
 from repro.traffic.trace import KIND_REQUEST, Trace
 
@@ -15,6 +16,15 @@ def make_trace(shift: float, name: str = "same-name") -> Trace:
 
 
 CFG = SimConfig(topology="mesh", radix=3, epoch_cycles=50)
+
+
+def train_weights(policy, train_traces, validation_traces, config, cache_dir):
+    """One model's weights through the trained-weights cache."""
+    (weights,) = run_train_tasks([TrainTask(
+        policy, tuple(train_traces), tuple(validation_traces), config,
+        cache_dir=cache_dir,
+    )])
+    return weights
 
 
 class TestFingerprint:
@@ -52,14 +62,14 @@ class TestCacheKey:
         assert a != b
 
     def test_retuned_traces_retrain(self, tmp_path):
-        w1 = cached_train("lead", [make_trace(0.0)], [make_trace(1.0)], CFG,
-                          cache_dir=tmp_path)
-        w2 = cached_train("lead", [make_trace(0.7)], [make_trace(1.0)], CFG,
-                          cache_dir=tmp_path)
+        w1 = train_weights("lead", [make_trace(0.0)], [make_trace(1.0)], CFG,
+                           cache_dir=tmp_path)
+        w2 = train_weights("lead", [make_trace(0.7)], [make_trace(1.0)], CFG,
+                           cache_dir=tmp_path)
         # Two cache entries, not a stale reuse of the first weights.
         assert len(list(tmp_path.glob("ridge-*.npz"))) == 2
-        assert w1.weights.shape == w2.weights.shape
+        assert w1.shape == w2.shape
         # And an identical request hits the cache (still two files).
-        cached_train("lead", [make_trace(0.7)], [make_trace(1.0)], CFG,
-                     cache_dir=tmp_path)
+        train_weights("lead", [make_trace(0.7)], [make_trace(1.0)], CFG,
+                      cache_dir=tmp_path)
         assert len(list(tmp_path.glob("ridge-*.npz"))) == 2

@@ -30,7 +30,12 @@ from repro.core.features import (
     single_feature_set,
 )
 from repro.exec.cache import RunCache
-from repro.exec.pool import CaptureTask, capture_feature_set, run_capture_tasks
+from repro.exec.pool import (
+    CaptureTask,
+    capture_feature_set,
+    run_capture_tasks,
+    training_set_group,
+)
 from repro.experiments.campaign import CampaignConfig, train_ml_models
 from repro.experiments.figures import EvalScale, fig9_feature_accuracy
 from repro.ml.training import collect_dataset
@@ -122,8 +127,9 @@ def test_capture_keys_never_alias_run_keys():
     task = CaptureTask("dozznoc", trace, MESH)
     run = pool_mod.SimTask("dozznoc", trace, MESH)
     assert task.cache_key() != run.cache_key()
-    # One entry per (policy, config, captured set): every trace and every
-    # set reduced-5 covers share it; anything else has its own.
+    # One entry per (policy, config, captured set, group): every trace of
+    # the group and every set reduced-5 covers share it; anything else
+    # has its own.
     assert CaptureTask("dozznoc", other, MESH).cache_key() == task.cache_key()
     for fs in SINGLE_SETS:
         assert CaptureTask("dozznoc", trace, MESH, fs).cache_key() == (
@@ -133,6 +139,8 @@ def test_capture_keys_never_alias_run_keys():
         CaptureTask("dozznoc", trace, MESH, FULL_FEATURES),
         CaptureTask("lead", trace, MESH),
         CaptureTask("dozznoc", trace, MESH.with_(epoch_cycles=150)),
+        CaptureTask("dozznoc", trace, MESH,
+                    group=training_set_group([other])),
     ):
         assert changed.cache_key() != task.cache_key()
 
@@ -178,6 +186,23 @@ def test_new_traces_join_their_entry(tmp_path, trace, captures):
     stored = cache.get(CaptureTask("dozznoc", trace, MESH).cache_key(),
                        kind="capture")
     assert sorted(stored) == sorted(map(trace_fingerprint, (trace, other)))
+
+
+def test_each_training_set_has_its_own_entry(tmp_path, trace, captures):
+    # Entries are bounded by their group: captures serving another
+    # training set (another seed or duration) never grow this one.
+    cache = RunCache(tmp_path)
+    other = generate_benchmark_trace("lu", num_cores=16, duration_ns=800.0)
+    tasks = [
+        CaptureTask("dozznoc", t, MESH, group=training_set_group([t]))
+        for t in (trace, other)
+    ]
+    for task in tasks:
+        run_capture_tasks([task], cache=cache)
+    assert len(list(tmp_path.glob("capture-*.npz"))) == 2
+    for task in tasks:
+        stored = cache.get(task.cache_key(), kind="capture")
+        assert list(stored) == [trace_fingerprint(task.trace)]
 
 
 def _truncate(cache, key):

@@ -48,15 +48,28 @@ class TestBuildSuite:
 
 
 class TestSuiteCache:
-    def test_cache_writes_and_reuses(self, tmp_path):
+    def test_cache_writes_and_reuses(self, tmp_path, monkeypatch):
         a = build_suite(num_cores=16, duration_ns=400.0, cache_dir=tmp_path)
         files = sorted(tmp_path.glob("*.npz"))
         assert len(files) == 14
         mtimes = [f.stat().st_mtime_ns for f in files]
+        # Empty the in-process memo and forbid generation, so the second
+        # build can only come from the files on disk.
+        suite_mod._build_suite.cache_clear()
+
+        def no_generation(*args, **kwargs):
+            raise AssertionError("a cached trace was regenerated")
+
+        monkeypatch.setattr(suite_mod, "generate_benchmark_trace",
+                            no_generation)
         b = build_suite(num_cores=16, duration_ns=400.0, cache_dir=tmp_path)
+        assert b is not a
         assert [f.stat().st_mtime_ns for f in sorted(tmp_path.glob("*.npz"))] == mtimes
         for x, y in zip(a.all_traces, b.all_traces):
             assert np.array_equal(x.t_ns, y.t_ns)
+            # Loaded traces are memoised too, so they are read-only.
+            with pytest.raises(ValueError, match="read-only"):
+                y.t_ns[0] = y.t_ns[0]
 
     def test_cache_key_includes_compression(self, tmp_path):
         build_suite(num_cores=16, duration_ns=400.0, cache_dir=tmp_path)

@@ -7,12 +7,19 @@ from repro.common.config import SimConfig
 from repro.common.errors import TrainingError
 from repro.core.features import REDUCED_FEATURES
 from repro.ml.ridge import rmse
-from repro.ml.training import (
-    cached_train,
-    collect_dataset,
-    train_policy_model,
-)
+from repro.exec.pool import TrainTask, run_train_tasks
+from repro.ml.training import collect_dataset, train_policy_model
 from repro.traffic.benchmarks import generate_benchmark_trace
+
+
+def train_weights(policy, train_traces, validation_traces, config,
+                 cache_dir=None):
+    """One model's weights through the trained-weights cache."""
+    (weights,) = run_train_tasks([TrainTask(
+        policy, tuple(train_traces), tuple(validation_traces), config,
+        cache_dir=cache_dir,
+    )])
+    return weights
 
 
 @pytest.fixture(scope="module")
@@ -116,24 +123,24 @@ class TestTrainPolicyModel:
 
 class TestCaching:
     def test_cache_roundtrip(self, sim_config, traces, tmp_path):
-        a = cached_train(
+        a = train_weights(
             "dozznoc", traces[:1], traces[1:2], sim_config, cache_dir=tmp_path
         )
         files = list(tmp_path.glob("ridge-*.npz"))
         assert len(files) == 1
-        b = cached_train(
+        b = train_weights(
             "dozznoc", traces[:1], traces[1:2], sim_config, cache_dir=tmp_path
         )
-        assert np.allclose(a.weights, b.weights)
+        assert np.allclose(a, b)
         assert list(tmp_path.glob("ridge-*.npz")) == files
 
     def test_cache_key_distinguishes_policies(self, sim_config, traces, tmp_path):
-        cached_train("dozznoc", traces[:1], traces[1:2], sim_config,
-                     cache_dir=tmp_path)
-        cached_train("lead", traces[:1], traces[1:2], sim_config,
-                     cache_dir=tmp_path)
+        train_weights("dozznoc", traces[:1], traces[1:2], sim_config,
+                      cache_dir=tmp_path)
+        train_weights("lead", traces[:1], traces[1:2], sim_config,
+                      cache_dir=tmp_path)
         assert len(list(tmp_path.glob("ridge-*.npz"))) == 2
 
     def test_no_cache_dir_trains_fresh(self, sim_config, traces):
-        model = cached_train("lead", traces[:1], traces[1:2], sim_config)
-        assert model.weights.shape == (5,)
+        weights = train_weights("lead", traces[:1], traces[1:2], sim_config)
+        assert weights.shape == (5,)
