@@ -19,29 +19,24 @@ Quick start::
     print(result.summary())
 """
 
-from repro.common import SimConfig
-from repro.core import (
-    MODES,
-    MODE_MAX,
-    MODE_MIN,
-    PowerState,
-    make_policy,
-    mode_for_utilization,
-)
-from repro.noc import SimResult, Simulator, run_simulation
+from repro._lazy import lazy_exports
+
+#: Re-exports, resolved on first access: name -> defining module.
+_EXPORTS = {
+    "SimConfig": "repro.common.config",
+    "MODES": "repro.core.modes",
+    "MODE_MAX": "repro.core.modes",
+    "MODE_MIN": "repro.core.modes",
+    "PowerState": "repro.core.states",
+    "make_policy": "repro.core.controller",
+    "mode_for_utilization": "repro.core.thresholds",
+    "SimResult": "repro.noc.simulator",
+    "Simulator": "repro.noc.simulator",
+    "run_simulation": "repro.noc.simulator",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SimConfig",
-    "MODES",
-    "MODE_MAX",
-    "MODE_MIN",
-    "PowerState",
-    "make_policy",
-    "mode_for_utilization",
-    "SimResult",
-    "Simulator",
-    "run_simulation",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

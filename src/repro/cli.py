@@ -21,26 +21,21 @@ import argparse
 import sys
 
 from repro.common.config import SimConfig
-from repro.core.controller import POLICIES, make_policy
-from repro.experiments.campaign import (
-    CampaignConfig,
-    campaign_run_cache,
-    run_campaign,
-)
-from repro.experiments.figures import (
-    EvalScale,
-    fig5_waveforms,
-    fig6_efficiency,
-    fig7_mode_distribution,
-    fig8_throughput_energy,
-    fig9_feature_accuracy,
-)
+from repro.experiments.profiles import MODEL_NAMES, EvalScale
 from repro.experiments.report import format_distribution, format_table
-from repro.experiments.runner import MODEL_NAMES
-from repro.experiments.tables import ALL_TABLES
-from repro.noc.simulator import run_simulation
-from repro.traffic.benchmarks import BENCHMARKS, generate_benchmark_trace
-from repro.traffic.compression import compress_trace
+
+# Building the parser imports no numpy and no kernel code: its choices
+# come from numpy-free name tables (MODEL_NAMES doubles as the policy
+# registry's names), and each command handler imports its own
+# implementation.  tests/test_startup.py keeps every table equal to the
+# registry it mirrors.
+
+#: The benchmark registry's names (``repro.traffic.benchmarks.BENCHMARKS``).
+BENCHMARK_NAMES: tuple[str, ...] = (
+    "blackscholes", "bodytrack", "canneal", "dedup", "facesim", "ferret",
+    "fluidanimate", "swaptions", "vips", "barnes", "fft", "lu", "radix",
+    "water",
+)
 
 
 def _scale(args: argparse.Namespace) -> EvalScale:
@@ -97,6 +92,8 @@ def _warn_undrained(result) -> None:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
+    from repro.experiments.tables import ALL_TABLES
+
     for name, fn in ALL_TABLES.items():
         cmp = fn()
         print(f"\n{cmp.name}  (max |error| vs paper: {cmp.max_abs_error:.3g})")
@@ -109,6 +106,14 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.experiments.figures import (
+        fig5_waveforms,
+        fig6_efficiency,
+        fig7_mode_distribution,
+        fig8_throughput_energy,
+        fig9_feature_accuracy,
+    )
+
     name = args.name
     if name == "fig5":
         r = fig5_waveforms()
@@ -207,6 +212,11 @@ def _print_shadow_report(shadow, candidate_fp: str) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.core.controller import make_policy
+    from repro.noc.simulator import run_simulation
+    from repro.traffic.benchmarks import generate_benchmark_trace
+    from repro.traffic.compression import compress_trace
+
     topology = args.topology or ("cmesh" if args.cmesh else "mesh")
     if topology == "cmesh":
         base = SimConfig.paper_cmesh()
@@ -327,6 +337,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.traffic.benchmarks import generate_benchmark_trace
+    from repro.traffic.compression import compress_trace
+
     trace = generate_benchmark_trace(
         args.benchmark, num_cores=args.cores, duration_ns=args.duration,
         seed=args.seed,
@@ -351,6 +364,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.experiments.campaign import (
+        CampaignConfig,
+        campaign_run_cache,
+        run_campaign,
+    )
+
     scale = _scale(args)
     if (args.model or args.shadow) and not args.registry:
         sys.exit("dozznoc: error: --model/--shadow require --registry DIR")
@@ -579,7 +598,10 @@ def _cmd_model_show(args: argparse.Namespace) -> int:
 
 def _cmd_model_eval(args: argparse.Namespace) -> int:
     """Shadow-evaluate a candidate against the incumbent on one run."""
+    from repro.core.controller import make_policy
     from repro.models import ShadowScorer
+    from repro.noc.simulator import run_simulation
+    from repro.traffic.benchmarks import generate_benchmark_trace
 
     registry = _registry(args)
     candidate = registry.get(args.model)
@@ -649,7 +671,10 @@ def _cmd_repro_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.core.controller import POLICIES
     from repro.experiments.repro_all import REPRO_EXPERIMENTS
+    from repro.experiments.tables import ALL_TABLES
+    from repro.traffic.benchmarks import BENCHMARKS
 
     print("benchmarks:", ", ".join(sorted(BENCHMARKS)))
     print("policies:  ", ", ".join(sorted(POLICIES)))
@@ -707,8 +732,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.set_defaults(fn=_cmd_figure, cmesh=False)
 
     p_run = sub.add_parser("run", help="run one policy on one benchmark")
-    p_run.add_argument("--policy", choices=sorted(POLICIES), default="dozznoc")
-    p_run.add_argument("--benchmark", choices=sorted(BENCHMARKS),
+    p_run.add_argument("--policy", choices=sorted(MODEL_NAMES),
+                       default="dozznoc")
+    p_run.add_argument("--benchmark", choices=sorted(BENCHMARK_NAMES),
                        default="blackscholes")
     p_run.add_argument("--duration", type=float, default=12_000.0)
     p_run.add_argument("--seed", type=int, default=0)
@@ -754,7 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(fn=_cmd_run)
 
     p_trace = sub.add_parser("trace", help="generate / inspect a trace")
-    p_trace.add_argument("--benchmark", choices=sorted(BENCHMARKS),
+    p_trace.add_argument("--benchmark", choices=sorted(BENCHMARK_NAMES),
                          default="canneal")
     p_trace.add_argument("--cores", type=int, default=64)
     p_trace.add_argument("--duration", type=float, default=8_000.0)
@@ -897,7 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
     m_eval.add_argument("--incumbent", default=None, metavar="MODEL",
                         help="explicit incumbent (default: the active "
                              "model, else the reactive policy)")
-    m_eval.add_argument("--benchmark", choices=sorted(BENCHMARKS),
+    m_eval.add_argument("--benchmark", choices=sorted(BENCHMARK_NAMES),
                         default="canneal")
     m_eval.add_argument("--duration", type=float, default=12_000.0)
     m_eval.add_argument("--seed", type=int, default=0)

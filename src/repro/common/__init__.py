@@ -4,40 +4,28 @@ These helpers are deliberately dependency-light; every other subpackage of
 :mod:`repro` builds on them.
 """
 
-from repro.common.units import (
-    BASE_TICKS_PER_NS,
-    GHZ_PERIOD_TICKS,
-    ns_to_ticks,
-    ticks_to_ns,
-    period_ticks_for_ghz,
-)
-from repro.common.errors import (
-    ReproError,
-    ConfigError,
-    TopologyError,
-    RoutingError,
-    SimulationError,
-    TrafficError,
-    TrainingError,
-)
-from repro.common.rng import make_rng, spawn_rngs, stable_seed
-from repro.common.config import SimConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BASE_TICKS_PER_NS",
-    "GHZ_PERIOD_TICKS",
-    "ns_to_ticks",
-    "ticks_to_ns",
-    "period_ticks_for_ghz",
-    "ReproError",
-    "ConfigError",
-    "TopologyError",
-    "RoutingError",
-    "SimulationError",
-    "TrafficError",
-    "TrainingError",
-    "make_rng",
-    "spawn_rngs",
-    "stable_seed",
-    "SimConfig",
-]
+#: Re-exports, resolved on first access: name -> defining module.
+_EXPORTS = {
+    "BASE_TICKS_PER_NS": "repro.common.units",
+    "GHZ_PERIOD_TICKS": "repro.common.units",
+    "ns_to_ticks": "repro.common.units",
+    "ticks_to_ns": "repro.common.units",
+    "period_ticks_for_ghz": "repro.common.units",
+    "ReproError": "repro.common.errors",
+    "ConfigError": "repro.common.errors",
+    "TopologyError": "repro.common.errors",
+    "RoutingError": "repro.common.errors",
+    "SimulationError": "repro.common.errors",
+    "TrafficError": "repro.common.errors",
+    "TrainingError": "repro.common.errors",
+    "make_rng": "repro.common.rng",
+    "spawn_rngs": "repro.common.rng",
+    "stable_seed": "repro.common.rng",
+    "SimConfig": "repro.common.config",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -1,0 +1,84 @@
+"""Source digests: hash modules by reading their files, never importing them.
+
+The run cache (:mod:`repro.exec.cache`) and the experiment memo
+(:mod:`repro.experiments.artifact`) key their entries by a digest of the
+source files that can change a result.  Reading those files by path keeps
+the digests free of numpy and of the kernel, so a warm ``repro-all``
+computes every memo key without importing the simulator.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from functools import lru_cache
+from pathlib import Path
+
+#: The directory holding the top-level ``repro`` package.
+_ROOT = Path(__file__).resolve().parents[2]
+
+#: Modules whose source determines simulation results.  Editing any of
+#: these changes the code-version digest and invalidates cached runs.
+#: ``tests/test_versioned_modules.py`` asserts this set covers everything
+#: :mod:`repro.noc.simulator` imports, transitively to a fixpoint.
+_VERSIONED_MODULES: tuple[str, ...] = (
+    "repro.common.config",
+    "repro.common.errors",
+    "repro.common.rng",
+    "repro.common.units",
+    "repro.core.controller",
+    "repro.core.features",
+    "repro.core.modes",
+    "repro.core.states",
+    "repro.core.thresholds",
+    "repro.faults",
+    "repro.faults.config",
+    "repro.faults.scheduler",
+    # repro.models is versioned wholesale: online learning and drift
+    # actions change results directly; the registry decides which weights
+    # a campaign serves; shadow/gates ride along for safety even though
+    # they are observe-only.
+    "repro.models",
+    "repro.models.drift",
+    "repro.models.gates",
+    "repro.models.online",
+    "repro.models.registry",
+    "repro.models.shadow",
+    "repro.models.store",
+    "repro.noc.array_sim",
+    "repro.noc.buffer",
+    "repro.noc.fabrics",
+    "repro.noc.network",
+    "repro.noc.packet",
+    "repro.noc.router",
+    "repro.noc.routing",
+    "repro.noc.simulator",
+    "repro.noc.stats",
+    "repro.noc.topology",
+    "repro.power.accounting",
+    "repro.power.dsent",
+    "repro.regulator.reliability",
+    "repro.traffic.trace",
+)
+
+
+def hash_sources(h: "hashlib._Hash", names: tuple[str, ...]) -> None:
+    """Feed each module's dotted name, then its source bytes, into ``h``.
+
+    ``repro.a.b`` is read from ``repro/a/b.py`` or, for a package, from
+    ``repro/a/b/__init__.py``: the file an import would have loaded.
+    """
+    for name in names:
+        base = _ROOT.joinpath(*name.split("."))
+        path = base.with_suffix(".py")
+        if not path.is_file():
+            path = base / "__init__.py"
+        h.update(name.encode())
+        h.update(path.read_bytes())
+
+
+@lru_cache(maxsize=1)
+def code_version() -> str:
+    """Digest of every simulation-relevant source file."""
+    h = hashlib.sha256()
+    hash_sources(h, _VERSIONED_MODULES)
+    return h.hexdigest()[:16]

@@ -44,6 +44,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.common.config import SimConfig
+# The code-version digest reads module sources by path (see
+# repro.common.sources); both names stay importable from here.
+from repro.common.sources import _VERSIONED_MODULES, code_version  # noqa: F401
 from repro.traffic.trace import Trace, trace_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - avoids an exec<->experiments cycle
@@ -67,64 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover - avoids an exec<->experiments cycle
 #: and the default backend flipped to ``array``; the new module joins the
 #: code digest and older entries predate its coverage.
 SCHEMA_VERSION = 7
-
-#: Modules whose source determines simulation results.  Editing any of
-#: these changes the code-version digest and invalidates cached runs.
-#: ``tests/test_versioned_modules.py`` asserts this set covers everything
-#: :mod:`repro.noc.simulator` imports, transitively to a fixpoint.
-_VERSIONED_MODULES: tuple[str, ...] = (
-    "repro.common.config",
-    "repro.common.errors",
-    "repro.common.rng",
-    "repro.common.units",
-    "repro.core.controller",
-    "repro.core.features",
-    "repro.core.modes",
-    "repro.core.states",
-    "repro.core.thresholds",
-    "repro.faults",
-    "repro.faults.config",
-    "repro.faults.scheduler",
-    # repro.models is versioned wholesale: online learning and drift
-    # actions change results directly; the registry decides which weights
-    # a campaign serves; shadow/gates ride along for safety even though
-    # they are observe-only.
-    "repro.models",
-    "repro.models.drift",
-    "repro.models.gates",
-    "repro.models.online",
-    "repro.models.registry",
-    "repro.models.shadow",
-    "repro.models.store",
-    "repro.noc.array_sim",
-    "repro.noc.buffer",
-    "repro.noc.fabrics",
-    "repro.noc.network",
-    "repro.noc.packet",
-    "repro.noc.router",
-    "repro.noc.routing",
-    "repro.noc.simulator",
-    "repro.noc.stats",
-    "repro.noc.topology",
-    "repro.power.accounting",
-    "repro.power.dsent",
-    "repro.regulator.reliability",
-    "repro.traffic.trace",
-)
-
-
-@lru_cache(maxsize=1)
-def code_version() -> str:
-    """Digest of every simulation-relevant source file."""
-    import importlib
-
-    h = hashlib.sha256()
-    for name in _VERSIONED_MODULES:
-        module = importlib.import_module(name)
-        source = Path(module.__file__)
-        h.update(name.encode())
-        h.update(source.read_bytes())
-    return h.hexdigest()[:16]
 
 
 def _weights_digest(weights: np.ndarray | None) -> str:
@@ -158,6 +103,7 @@ def run_key(
     faults: "object | None" = None,
     model: str | None = None,
     online: "object | None" = None,
+    allowed_modes: tuple[int, ...] | None = None,
 ) -> str:
     """The content address of one (policy, trace, config, weights) run.
 
@@ -169,7 +115,8 @@ def run_key(
     happen to share weights still never alias).  ``online`` is an
     optional :class:`repro.models.OnlineConfig`; online learning evolves
     the policy mid-run, so online and frozen runs must never share an
-    entry either.
+    entry either.  ``allowed_modes`` restricts the DVFS ladder; it adds a
+    key part only when set, so unrestricted runs keep their keys.
     """
     parts = [
         f"schema={SCHEMA_VERSION}",
@@ -183,6 +130,9 @@ def run_key(
         f"model={'none' if model is None else model}",
         f"online={'none' if online is None else online.fingerprint()}",
     ]
+    if allowed_modes is not None:
+        ladder = sorted(set(allowed_modes))
+        parts.append(f"modes={','.join(map(str, ladder))}")
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:24]
 
 

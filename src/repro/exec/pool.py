@@ -177,6 +177,10 @@ class SimTask:
     #: shadow samples, which the promotion gate treats as insufficient
     #: evidence.
     shadow_weights: np.ndarray | None = None
+    #: Optional restricted DVFS ladder, passed to
+    #: :func:`~repro.core.controller.make_policy` (changes results, so it
+    #: joins the cache key).
+    allowed_modes: tuple[int, ...] | None = None
 
     def cache_key(self) -> str:
         """Content address of this task's result."""
@@ -185,6 +189,7 @@ class SimTask:
             self.policy, self.trace, self.sim, self.weights, fs.names,
             fs.name, faults=self.faults,
             model=self.model_fingerprint, online=self.online,
+            allowed_modes=self.allowed_modes,
         )
 
 
@@ -246,7 +251,8 @@ def execute_sim_task(task: SimTask) -> "ModelMetrics":
 
     feature_set = resolve_feature_set(task.feature_set)
     policy = make_policy(
-        task.policy, weights=task.weights, feature_set=feature_set
+        task.policy, weights=task.weights, feature_set=feature_set,
+        allowed_modes=task.allowed_modes,
     )
     audit = None
     if task.audit:

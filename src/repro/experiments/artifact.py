@@ -41,10 +41,11 @@ The module also provides:
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
 from functools import lru_cache
 from pathlib import Path
+
+from repro.common.sources import code_version, hash_sources
 
 #: Bump when the artifact layout or manifest shape changes.
 ARTIFACT_SCHEMA = 1
@@ -67,9 +68,19 @@ _MANIFEST_REQUIRED = (
 #: single simulation result, so they join the memo code version on top
 #: of :func:`repro.exec.cache.code_version` (which already covers the
 #: kernel, policies, power model, faults and traces).
+#: ``tests/test_memo_modules.py`` asserts that every module repro-all can
+#: import, function-local imports included, is in one of the two sets or
+#: in its short allowlist of modules that never shape a payload.
 _MEMO_MODULES: tuple[str, ...] = (
+    # The run cache and the pool slice capture columns and fan out the
+    # training λ sweep, so they shape fig9 and epoch_sweep payloads.
+    "repro.exec.cache",
+    "repro.exec.pool",
+    # canonical_json round-trips every payload before it is memoised.
+    "repro.experiments.artifact",
     "repro.experiments.campaign",
     "repro.experiments.figures",
+    "repro.experiments.profiles",
     "repro.experiments.repro_all",
     "repro.experiments.runner",
     "repro.experiments.tables",
@@ -218,14 +229,9 @@ def validate_manifest(manifest: dict, layout: ArtifactLayout) -> list[str]:
 @lru_cache(maxsize=1)
 def memo_code_version() -> str:
     """Digest over everything that can change an experiment payload."""
-    from repro.exec.cache import code_version
-
     h = hashlib.sha256()
     h.update(code_version().encode())
-    for name in _MEMO_MODULES:
-        module = importlib.import_module(name)
-        h.update(name.encode())
-        h.update(Path(module.__file__).read_bytes())
+    hash_sources(h, _MEMO_MODULES)
     return h.hexdigest()[:16]
 
 

@@ -8,12 +8,10 @@ them in seconds while the benchmark harness uses paper-scale runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.config import SimConfig
 from repro.core.features import (
     REDUCED_FEATURES,
     FULL_FEATURES,
@@ -35,49 +33,13 @@ from repro.experiments.campaign import (
     CampaignResult,
     run_campaign,
 )
+from repro.experiments.profiles import EvalScale
 from repro.ml.metrics import mode_selection_accuracy
 from repro.ml.ridge import fit_ridge
 from repro.ml.training import stack_dataset
 from repro.regulator.efficiency import EfficiencyComparison, compare_efficiency
 from repro.regulator.ldo import LdoModel, LdoTransient
 from repro.traffic.suite import build_suite
-
-
-@dataclass(frozen=True)
-class EvalScale:
-    """Scale knobs for simulation-backed experiments.
-
-    ``paper()`` approximates the paper's setup (8x8 mesh, epoch 500);
-    ``quick()`` is a minutes-to-seconds profile for tests and CI.
-    ``jobs`` is forwarded to the exec layer (1 = serial, <=0 = one worker
-    per CPU); results are identical at any ``jobs``.
-    """
-
-    sim: SimConfig = field(default_factory=SimConfig.paper_mesh)
-    duration_ns: float = 12_000.0
-    seed: int = 0
-    cache_dir: str | Path | None = None
-    jobs: int = 1
-    #: Attach invariant auditors (repro.validate) to campaign runs.
-    audit: bool = False
-
-    @classmethod
-    def paper(cls, cache_dir: str | Path | None = None) -> "EvalScale":
-        return cls(sim=SimConfig.paper_mesh(), duration_ns=12_000.0,
-                   cache_dir=cache_dir)
-
-    @classmethod
-    def quick(cls, cache_dir: str | Path | None = None) -> "EvalScale":
-        return cls(
-            sim=SimConfig(topology="mesh", radix=4, epoch_cycles=150),
-            duration_ns=2_500.0,
-            cache_dir=cache_dir,
-        )
-
-    @classmethod
-    def cmesh(cls, cache_dir: str | Path | None = None) -> "EvalScale":
-        return cls(sim=SimConfig.paper_cmesh(), duration_ns=12_000.0,
-                   cache_dir=cache_dir)
 
 
 # ---------------------------------------------------------------------- #
@@ -442,18 +404,20 @@ def mode_ladder_ablation(
         seed=scale.seed,
     )
     trace = suite.test[benchmark_index]
-    from repro.core.controller import make_policy
-    from repro.experiments.runner import ModelMetrics, normalize_to_baseline
-    from repro.noc.simulator import run_simulation
+    from repro.experiments.runner import normalize_to_baseline
 
-    base = ModelMetrics.from_result(
-        run_simulation(scale.sim, trace, make_policy("baseline"))
+    tasks = [SimTask(policy="baseline", trace=trace, sim=scale.sim)]
+    tasks += [
+        SimTask(policy="dozznoc", trace=trace, sim=scale.sim,
+                allowed_modes=allowed)
+        for _, allowed in ladders
+    ]
+    base, *results = run_sim_tasks(
+        tasks, jobs=scale.jobs, cache=run_cache_for(scale.cache_dir)
     )
     points = []
-    for label, allowed in ladders:
-        policy = make_policy("dozznoc", allowed_modes=allowed)
-        result = run_simulation(scale.sim, trace, policy)
-        norm = normalize_to_baseline(base, ModelMetrics.from_result(result))
+    for (label, allowed), metrics in zip(ladders, results):
+        norm = normalize_to_baseline(base, metrics)
         points.append(
             LadderPoint(
                 label=label,

@@ -20,6 +20,12 @@ committed per-scale expectation files (``tests/expectations/*.json``).
 Any drift — a changed value, a headline without coverage, or an
 experiment without committed expectations — exits nonzero.
 
+Builders import ``figures``, ``tables`` and ``campaign`` inside their
+bodies, so a warm rerun that replays every payload from the memo never
+imports numpy or the kernel (``tests/test_startup.py``); every module a
+builder imports must be covered by the memo's code version
+(``tests/test_memo_modules.py``).
+
 Determinism contract: the manifest and report are byte-for-byte
 functions of (scale, backend, seed, code); ``--jobs``, cache state and
 wall-clock never appear in any emitted byte.  The resume/jobs tests in
@@ -34,10 +40,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.common.config import SimConfig
-from repro.experiments import figures, tables
 from repro.experiments.artifact import (
     ARTIFACT_SCHEMA,
     ArtifactLayout,
@@ -47,15 +52,11 @@ from repro.experiments.artifact import (
     sha256_file,
     write_json,
 )
-from repro.experiments.campaign import (
-    CampaignConfig,
-    CampaignResult,
-    campaign_summary_payload,
-    run_campaign,
-)
-from repro.experiments.figures import EvalScale
+from repro.experiments.profiles import MODEL_NAMES, EvalScale
 from repro.experiments.report import csv_text, render_html_report
-from repro.experiments.runner import MODEL_NAMES
+
+if TYPE_CHECKING:  # pragma: no cover - builders import the kernel lazily
+    from repro.experiments.campaign import CampaignResult
 
 #: Bump when the expectation-file shape changes.
 EXPECTATIONS_SCHEMA = 1
@@ -128,7 +129,8 @@ def scale_fingerprint(scale_name: str, scale: EvalScale) -> str:
     """The memo-key component identifying one (scale, backend, seed).
 
     Scale *profile* constants (mesh radix, epoch size, duration) are
-    covered by the memo code version, which hashes this module's source.
+    covered by the memo code version, which hashes the sources of this
+    module and of :mod:`repro.experiments.profiles`.
     """
     return f"{scale_name}|backend={scale.sim.backend}|seed={scale.seed}"
 
@@ -161,6 +163,8 @@ class ReproContext:
         cheap — but it lets fig7 reuse fig8's uncompressed campaign
         without any ordering constraint between the two builders.
         """
+        from repro.experiments.campaign import CampaignConfig, run_campaign
+
         sim = sim or self.scale.sim
         key = (repr(sim), compressed, models, repr(faults))
         if key not in self._campaigns:
@@ -186,7 +190,9 @@ class ReproContext:
 
 def _table_payload(table_id: str) -> Callable[[ReproContext], dict]:
     def build(ctx: ReproContext) -> dict:
-        cmp = tables.ALL_TABLES[table_id]()
+        from repro.experiments.tables import ALL_TABLES
+
+        cmp = ALL_TABLES[table_id]()
         width = len(cmp.measured_rows[0]) if cmp.measured_rows else 0
         headers = list(cmp.headers)
         if len(headers) != width:
@@ -206,7 +212,9 @@ def _table_payload(table_id: str) -> Callable[[ReproContext], dict]:
 
 
 def _build_fig5(ctx: ReproContext) -> dict:
-    r = figures.fig5_waveforms()
+    from repro.experiments.figures import fig5_waveforms
+
+    r = fig5_waveforms()
     rows = [
         ["wakeup", r.wakeup.v_from, r.wakeup.v_to, r.t_wakeup_ns,
          len(r.wakeup.v)],
@@ -228,7 +236,9 @@ def _build_fig5(ctx: ReproContext) -> dict:
 
 
 def _build_fig6(ctx: ReproContext) -> dict:
-    r = figures.fig6_efficiency()
+    from repro.experiments.figures import fig6_efficiency
+
+    r = fig6_efficiency()
     rows = [
         [float(v), float(b), float(s), float(s - b)]
         for v, b, s in zip(r.voltages, r.baseline, r.simo)
@@ -249,7 +259,9 @@ def _build_fig6(ctx: ReproContext) -> dict:
 
 
 def _build_fig7(ctx: ReproContext) -> dict:
-    dist = figures.fig7_mode_distribution(
+    from repro.experiments.figures import fig7_mode_distribution
+
+    dist = fig7_mode_distribution(
         ctx.scale, campaign_result=ctx.campaign()
     )
     rows = []
@@ -312,6 +324,8 @@ def _campaign_headlines(setting: str, result: CampaignResult) -> dict:
 
 
 def _build_fig8(ctx: ReproContext) -> dict:
+    from repro.experiments.campaign import campaign_summary_payload
+
     compressed = ctx.campaign(compressed=True)
     uncompressed = ctx.campaign()
     return {
@@ -332,6 +346,8 @@ def _build_fig8(ctx: ReproContext) -> dict:
 
 
 def _build_cmesh(ctx: ReproContext) -> dict:
+    from repro.experiments.campaign import campaign_summary_payload
+
     result = ctx.campaign(
         sim=cmesh_sim(ctx.scale_name, backend=ctx.scale.sim.backend)
     )
@@ -352,6 +368,8 @@ def _build_fabrics(ctx: ReproContext) -> dict:
     journal and memo all apply), folded into one cross-fabric table with
     per-(fabric, model) headline coverage.
     """
+    from repro.experiments.campaign import campaign_summary_payload
+
     headlines: dict = {}
     rows: list[list] = []
     data: dict = {}
@@ -370,7 +388,9 @@ def _build_fabrics(ctx: ReproContext) -> dict:
 
 
 def _build_fig9(ctx: ReproContext) -> dict:
-    accs = figures.fig9_feature_accuracy(ctx.scale)
+    from repro.experiments.figures import fig9_feature_accuracy
+
+    accs = fig9_feature_accuracy(ctx.scale)
     rows = []
     headlines = {}
     for fa in accs:
@@ -389,7 +409,9 @@ def _build_fig9(ctx: ReproContext) -> dict:
 
 
 def _build_epoch_sweep(ctx: ReproContext) -> dict:
-    points = figures.epoch_size_sweep(ctx.scale)
+    from repro.experiments.figures import epoch_size_sweep
+
+    points = epoch_size_sweep(ctx.scale)
     best = min(points, key=lambda p: p.validation_rmse)
     return {
         "headlines": {
@@ -413,7 +435,9 @@ def _build_epoch_sweep(ctx: ReproContext) -> dict:
 
 
 def _build_feature_ablation(ctx: ReproContext) -> dict:
-    r = figures.feature_ablation(ctx.scale)
+    from repro.experiments.figures import feature_ablation
+
+    r = feature_ablation(ctx.scale)
     keys = sorted(r.reduced)
     return {
         "headlines": {
@@ -438,7 +462,9 @@ def _build_tidle(ctx: ReproContext) -> dict:
     from repro.exec.pool import SimTask, run_sim_tasks
     from repro.traffic.suite import build_suite
 
-    points = figures.t_idle_sweep(ctx.scale)
+    from repro.experiments.figures import t_idle_sweep
+
+    points = t_idle_sweep(ctx.scale)
     headlines = {}
     for p in points:
         headlines[f"static_savings_t{p.t_idle}"] = float(p.static_savings)
@@ -476,7 +502,9 @@ def _build_tidle(ctx: ReproContext) -> dict:
 
 
 def _build_buffers(ctx: ReproContext) -> dict:
-    points = figures.buffer_depth_sweep(ctx.scale)
+    from repro.experiments.figures import buffer_depth_sweep
+
+    points = buffer_depth_sweep(ctx.scale)
     headlines = {}
     for p in points:
         headlines[f"static_savings_d{p.buffer_depth}"] = float(
@@ -501,7 +529,9 @@ def _build_buffers(ctx: ReproContext) -> dict:
 
 
 def _build_ladder(ctx: ReproContext) -> dict:
-    points = figures.mode_ladder_ablation(ctx.scale)
+    from repro.experiments.figures import mode_ladder_ablation
+
+    points = mode_ladder_ablation(ctx.scale)
     return {
         "headlines": {
             f"static_savings_m{len(p.allowed_modes)}": float(p.static_savings)
@@ -521,6 +551,7 @@ def _build_ladder(ctx: ReproContext) -> dict:
 
 
 def _build_faults(ctx: ReproContext) -> dict:
+    from repro.experiments.campaign import campaign_summary_payload
     from repro.faults import FaultConfig
 
     result = ctx.campaign(

@@ -16,11 +16,9 @@ import numpy as np
 from repro.common.config import SimConfig
 from repro.core.controller import make_policy
 from repro.core.features import REDUCED_FEATURES, FeatureSet
+from repro.experiments.profiles import MODEL_NAMES  # noqa: F401  (re-export)
 from repro.noc.simulator import SimResult, run_simulation
 from repro.traffic.trace import Trace
-
-#: The five models, Figure 8 order.
-MODEL_NAMES: tuple[str, ...] = ("baseline", "pg", "lead", "dozznoc", "turbo")
 
 #: Human-readable labels used in reports.
 MODEL_LABELS: dict[str, str] = {

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from repro.common.config import SimConfig
+from repro.core.controller import make_policy
 from repro.exec.cache import RunCache, code_version, run_key
 from repro.exec.pool import SimTask, run_sim_tasks
 from repro.experiments.runner import ModelMetrics
+from repro.noc.simulator import run_simulation
 from repro.traffic.trace import KIND_REQUEST, Trace
 
 CFG = SimConfig(topology="mesh", radix=3, epoch_cycles=50)
@@ -37,11 +39,13 @@ def key_with(**overrides) -> str:
         weights=None,
         feature_names=FEATURES,
         feature_set_name="reduced-5",
+        allowed_modes=None,
     )
     kw.update(overrides)
     return run_key(
         kw["policy"], kw["trace"], kw["config"], kw["weights"],
         kw["feature_names"], kw["feature_set_name"],
+        allowed_modes=kw["allowed_modes"],
     )
 
 
@@ -95,6 +99,15 @@ class TestRunKey:
     def test_changes_with_feature_set(self):
         assert key_with(feature_names=("f1", "f3")) != key_with()
         assert key_with(feature_set_name="full-41") != key_with()
+
+    def test_changes_with_dvfs_ladder(self):
+        base = key_with()
+        assert key_with(allowed_modes=(3, 7)) != base
+        assert key_with(allowed_modes=(3, 7)) != key_with(
+            allowed_modes=(3, 5, 7))
+        # Keyed by the ladder the policy runs, whatever the given order.
+        assert key_with(allowed_modes=(7, 3, 3)) == key_with(
+            allowed_modes=(3, 7))
 
     def test_code_version_is_stable_and_short(self):
         assert code_version() == code_version()
@@ -182,6 +195,18 @@ class TestRunSimTasksThroughCache:
         second = run_sim_tasks([task], cache=cache)
         assert cache.hits == 1
         assert vars(first[0]) == vars(second[0])
+
+    def test_ladder_task_equals_a_direct_run(self, tmp_path, task):
+        ladder = SimTask(policy="dozznoc", trace=task.trace, sim=task.sim,
+                         allowed_modes=(3, 7))
+        cache = RunCache(tmp_path)
+        run_sim_tasks([ladder], cache=cache)
+        (cached,) = run_sim_tasks([ladder], cache=cache)
+        assert cache.hits == 1
+        direct = run_simulation(
+            task.sim, task.trace, make_policy("dozznoc", allowed_modes=(3, 7))
+        )
+        assert vars(cached) == vars(ModelMetrics.from_result(direct))
 
     def test_config_change_misses(self, tmp_path, task):
         cache = RunCache(tmp_path)
