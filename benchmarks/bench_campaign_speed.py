@@ -7,11 +7,6 @@ and serial again against a warm result cache.  The three runs must agree
 bit-identically; the bench asserts that before reporting speed.
 """
 
-#: repro-all registry entries this bench corresponds to (empty = perf-only
-#: bench with no repro-all counterpart); asserted against
-#: repro.experiments.repro_all.REPRO_EXPERIMENTS by the test suite.
-EXPERIMENT_IDS = ()
-
 from __future__ import annotations
 
 import os
@@ -22,6 +17,11 @@ from conftest import write_report
 from repro.common.config import SimConfig
 from repro.exec.cache import RunCache
 from repro.experiments.campaign import CampaignConfig, run_campaign
+
+#: repro-all registry entries this bench corresponds to (empty = perf-only
+#: bench with no repro-all counterpart); asserted against
+#: repro.experiments.repro_all.REPRO_EXPERIMENTS by the test suite.
+EXPERIMENT_IDS = ()
 
 DURATION_NS = float(os.environ.get("REPRO_BENCH_CAMPAIGN_NS", 1_500.0))
 

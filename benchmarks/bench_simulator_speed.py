@@ -48,83 +48,6 @@ def test_kernel_speed_dozznoc_telemetry(benchmark):
     assert result.stats.packets_delivered > 0
 
 
-def test_kernel_speed_dozznoc_online(benchmark):
-    from repro.models import OnlineConfig
-
-    result = benchmark(
-        lambda: run_simulation(
-            CONFIG, TRACE, make_policy("dozznoc"),
-            online=OnlineConfig(forgetting=0.99, warmup_updates=4),
-        )
-    )
-    assert result.stats.packets_delivered > 0
-
-
-def test_batched_inference_speed(benchmark):
-    """Before/after datapoint for the batched-inference hot path.
-
-    The shadow scorer used to need one Python-level prediction per
-    router per epoch; :func:`batch_predict` replaces that with one
-    columnwise pass over a (routers, features) matrix.  Benchmarks the
-    batched path on a mesh-64-sized feature block and asserts
-    row-stability: batching must not change any single row's result, so
-    every row is bit-identical to scoring that row alone.  (A plain
-    ``X @ w`` would fail this — BLAS reorders the reduction.)
-    """
-    import numpy as np
-
-    from repro.models import batch_predict
-
-    rng = np.random.default_rng(7)
-    x = rng.normal(0.0, 0.5, size=(64, 5))
-    w = rng.normal(0.0, 0.4, size=5)
-
-    per_row = np.array([batch_predict(row[None, :], w)[0] for row in x])
-    batched = benchmark(lambda: batch_predict(x, w))
-    assert np.array_equal(batched, per_row), (
-        "batched inference must be bit-identical to per-row inference"
-    )
-
-
-def test_batched_inference_beats_per_row_loop():
-    """The batched pass must actually be faster than the per-row loop.
-
-    Interleaved best-of-N (same discipline as the telemetry-overhead
-    bound) on a mesh-64 block repeated over many epochs' worth of rows.
-    """
-    from time import perf_counter
-
-    import numpy as np
-
-    from repro.models import batch_predict
-
-    rng = np.random.default_rng(7)
-    blocks = [rng.normal(0.0, 0.5, size=(64, 5)) for _ in range(50)]
-    w = rng.normal(0.0, 0.4, size=5)
-
-    def run_loop():
-        return [
-            np.array([float(w @ row) for row in x]) for x in blocks
-        ]
-
-    def run_batched():
-        return [batch_predict(x, w) for x in blocks]
-
-    run_loop(), run_batched()  # warm-up
-    best_loop = best_batched = float("inf")
-    for _ in range(7):
-        t0 = perf_counter()
-        run_loop()
-        best_loop = min(best_loop, perf_counter() - t0)
-        t0 = perf_counter()
-        run_batched()
-        best_batched = min(best_batched, perf_counter() - t0)
-    assert best_batched < best_loop, (
-        f"batched inference ({best_batched:.5f}s) is not faster than the "
-        f"per-row loop it replaced ({best_loop:.5f}s)"
-    )
-
-
 def test_telemetry_overhead_bounded():
     """Telemetry-on must stay within 10% of telemetry-off wall-clock.
 

@@ -168,49 +168,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _registry(args: argparse.Namespace):
-    """Open the model registry named by --registry (required)."""
-    if not getattr(args, "registry", None):
-        sys.exit("dozznoc: error: this operation requires --registry DIR")
-    from repro.models import ModelRegistry
-
-    return ModelRegistry(args.registry)
-
-
-def _online_config(args: argparse.Namespace):
-    """Build an OnlineConfig from run/campaign --online* flags (or None)."""
-    if not getattr(args, "online", False):
-        return None
-    from repro.models import OnlineConfig
-
-    return OnlineConfig(
-        lam=args.online_lam,
-        forgetting=args.forgetting,
-        warmup_updates=args.warmup,
-        drift_threshold=args.drift_threshold,
-        drift_action=args.drift_action,
-    )
-
-
-def _print_shadow_report(shadow, candidate_fp: str) -> None:
-    """Shadow stats + a default-gate verdict after a run."""
-    from repro.models import PromotionGate
-
-    scored, cand_err, inc_err, wins, skipped = shadow.counter_values()
-    print(f"{'shadow candidate':28s} {candidate_fp}")
-    print(f"{'shadow pairs scored':28s} {scored:d} (+{skipped:d} skipped)")
-    if scored:
-        from repro.common.units import MICRO
-
-        print(f"{'shadow cand mean |err|':28s} "
-              f"{cand_err / (scored * MICRO):.6g}")
-        print(f"{'shadow incumbent mean |err|':28s} "
-              f"{inc_err / (scored * MICRO):.6g}")
-    decision = PromotionGate().evaluate(scored, cand_err, inc_err, wins)
-    verdict = "PROMOTE" if decision.promoted else "REJECT"
-    print(f"{'shadow gate (default)':28s} {verdict}: {decision.reason}")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.core.controller import make_policy
     from repro.noc.simulator import run_simulation
@@ -253,44 +210,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.telemetry import TelemetryRecorder
 
         telemetry = TelemetryRecorder()
-    # Model lifecycle: serve registered weights, learn online, shadow a
-    # candidate (see docs/models.md).
-    weights = None
-    served = None
-    if args.model:
-        registry = _registry(args)
-        served = registry.get(args.model)
-        if served.policy != args.policy:
-            sys.exit(
-                f"dozznoc: error: model {served.fingerprint} belongs to "
-                f"policy {served.policy!r}, not {args.policy!r}"
-            )
-        weights = served.weights_array()
-    policy = make_policy(args.policy, weights=weights)
-    if served is not None:
-        _registry(args).check_compatible(
-            served, policy.feature_set, config.epoch_cycles
-        )
-    online = _online_config(args)
-    shadow = None
-    candidate = None
-    if args.shadow:
-        from repro.models import ShadowScorer
-
-        candidate = _registry(args).get(args.shadow)
-        _registry(args).check_compatible(
-            candidate, policy.feature_set, config.epoch_cycles
-        )
-        shadow = ShadowScorer(
-            candidate.weights_array(), incumbent_weights=weights
-        )
+    # No trained weights here: an ML policy runs reactively.  The
+    # campaign is the train-then-test path.
+    policy = make_policy(args.policy)
     from repro.telemetry.recorder import maybe_cprofile
 
     with maybe_cprofile(args.profile) as prof:
         result = run_simulation(config, trace, policy,
                                 audit=auditor, faults=faults,
-                                telemetry=telemetry, online=online,
-                                shadow=shadow)
+                                telemetry=telemetry)
     if telemetry is not None:
         from repro.telemetry import write_series, write_summary
 
@@ -309,16 +237,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for key, value in sorted(result.summary().items()):
         print(f"{key:28s} {value:.6g}")
     print(f"{'drained':28s} {result.drained}")
-    if served is not None:
-        print(f"{'served model':28s} {served.fingerprint} "
-              f"(val RMSE {served.validation_rmse:.4g})")
-    if online is not None:
-        print(f"{'online updates':28s} {result.stats.online_updates:d}")
-        print(f"{'online divergences':28s} "
-              f"{result.stats.online_divergences:d}")
-        print(f"{'drift alerts':28s} {result.stats.drift_alerts:d}")
-    if shadow is not None and candidate is not None:
-        _print_shadow_report(shadow, candidate.fingerprint)
     if auditor is not None:
         print(f"{'audits':28s} {auditor.epoch_audits} epoch + "
               f"{auditor.end_audits} end-of-run, all invariants held")
@@ -371,8 +289,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     )
 
     scale = _scale(args)
-    if (args.model or args.shadow) and not args.registry:
-        sys.exit("dozznoc: error: --model/--shadow require --registry DIR")
     models = MODEL_NAMES
     if args.models:
         # Canonical MODEL_NAMES order regardless of flag order, so the
@@ -389,11 +305,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         jobs=scale.jobs,
         audit=scale.audit,
         telemetry_dir=args.telemetry,
-        registry_dir=args.registry,
-        registry_models=tuple(args.model or ()),
-        online=_online_config(args),
-        shadow_model=args.shadow,
-        promote_on_pass=args.promote_on_pass,
     )
     cache = campaign_run_cache(campaign)
     result = run_campaign(campaign, cache=cache)
@@ -437,16 +348,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         from pathlib import Path
 
         print(f"telemetry: {Path(args.telemetry) / CAMPAIGN_SUMMARY}")
-    if result.promotion is not None:
-        verdict = "PROMOTE" if result.promotion.get("promoted") else "REJECT"
-        applied = (
-            " (applied to registry)"
-            if result.promotion.get("promoted_in_registry") else ""
-        )
-        print(
-            f"promotion gate: {verdict}{applied}: "
-            f"{result.promotion.get('reason')}"
-        )
     _warn_undrained(result)
     return 0
 
@@ -498,159 +399,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         progress=(None if args.quiet else
                   (lambda line: print(line, flush=True))),
         faults=args.faults,
-        online=args.online,
         backend_differential=args.differential_backend,
         fabrics=tuple(args.fabrics) if args.fabrics else None,
     )
     print(report.summary())
     return 0 if report.ok else 1
-
-
-# ---------------------------------------------------------------------- #
-# dozznoc model: registry lifecycle (see docs/models.md)
-# ---------------------------------------------------------------------- #
-
-
-def _cmd_model_train(args: argparse.Namespace) -> int:
-    from repro.ml.training import train_policy_model
-    from repro.traffic.suite import build_suite
-
-    registry = _registry(args)
-    config = SimConfig.paper_mesh()
-    suite = build_suite(
-        num_cores=config.num_cores, duration_ns=args.duration,
-        seed=args.seed, compressed=args.compressed,
-    )
-    result = train_policy_model(
-        args.policy, suite.train, suite.validation, config
-    )
-    record = registry.register_training_result(
-        result, config,
-        train_traces=suite.train,
-        validation_traces=suite.validation,
-        note=args.note,
-    )
-    print(f"registered:     {record.fingerprint}")
-    print(f"policy:         {record.policy}")
-    print(f"feature set:    {record.feature_set} "
-          f"(schema {record.feature_schema})")
-    print(f"lambda:         {record.lam:g}")
-    print(f"train RMSE:     {result.train_rmse:.5f}")
-    print(f"val RMSE:       {result.validation_rmse:.5f}")
-    print(f"val accuracy:   {result.validation_accuracy:.3f}")
-    return 0
-
-
-def _cmd_model_list(args: argparse.Namespace) -> int:
-    registry = _registry(args)
-    records = registry.records()
-    if args.ids_only:
-        for record in records:
-            print(record.fingerprint)
-        return 0
-    if not records:
-        print(f"no models registered in {args.registry}")
-        return 0
-    active = registry.active_map()
-    rows = [
-        (
-            record.fingerprint,
-            record.policy + (
-                " *" if active.get(record.policy) == record.fingerprint
-                else ""
-            ),
-            record.feature_set,
-            f"{record.lam:g}",
-            f"{record.validation_rmse:.5f}",
-            f"{record.validation_accuracy:.3f}",
-        )
-        for record in records
-    ]
-    print(format_table(
-        ("fingerprint", "policy", "features", "lambda", "val RMSE", "val acc"),
-        rows, title=f"model registry: {args.registry} (* = active)",
-    ))
-    return 0
-
-
-def _cmd_model_show(args: argparse.Namespace) -> int:
-    registry = _registry(args)
-    record = registry.get(args.model)
-    active = registry.active_map().get(record.policy) == record.fingerprint
-    print(f"fingerprint:    {record.fingerprint}"
-          f"{'  (active)' if active else ''}")
-    print(f"policy:         {record.policy}")
-    print(f"feature set:    {record.feature_set} "
-          f"(schema {record.feature_schema})")
-    print(f"features:       {', '.join(record.feature_names)}")
-    print(f"epoch cycles:   {record.epoch_cycles}")
-    print(f"lambda:         {record.lam:g}")
-    print(f"train RMSE:     {record.train_rmse:.5f}")
-    print(f"val RMSE:       {record.validation_rmse:.5f}")
-    print(f"val accuracy:   {record.validation_accuracy:.3f}")
-    print(f"weights:        {list(record.weights)}")
-    print(f"train traces:   {', '.join(record.train_traces) or '-'}")
-    print(f"val traces:     {', '.join(record.validation_traces) or '-'}")
-    if record.note:
-        print(f"note:           {record.note}")
-    return 0
-
-
-def _cmd_model_eval(args: argparse.Namespace) -> int:
-    """Shadow-evaluate a candidate against the incumbent on one run."""
-    from repro.core.controller import make_policy
-    from repro.models import ShadowScorer
-    from repro.noc.simulator import run_simulation
-    from repro.traffic.benchmarks import generate_benchmark_trace
-
-    registry = _registry(args)
-    candidate = registry.get(args.model)
-    config = SimConfig.paper_mesh()
-    registry.check_compatible(
-        candidate, make_policy(candidate.policy).feature_set,
-        config.epoch_cycles,
-    )
-    incumbent = None
-    if args.incumbent:
-        incumbent = registry.get(args.incumbent)
-    else:
-        incumbent = registry.active(candidate.policy)
-    inc_weights = None if incumbent is None else incumbent.weights_array()
-    trace = generate_benchmark_trace(
-        args.benchmark, num_cores=config.num_cores,
-        duration_ns=args.duration, seed=args.seed,
-    )
-    policy = make_policy(candidate.policy, weights=inc_weights)
-    shadow = ShadowScorer(
-        candidate.weights_array(), incumbent_weights=inc_weights
-    )
-    result = run_simulation(config, trace, policy, shadow=shadow)
-    inc_label = (
-        "reactive threshold policy" if incumbent is None
-        else f"model {incumbent.fingerprint}"
-    )
-    print(f"{'benchmark':28s} {trace.name}")
-    print(f"{'incumbent':28s} {inc_label}")
-    print(f"{'drained':28s} {result.drained}")
-    _print_shadow_report(shadow, candidate.fingerprint)
-    return 0
-
-
-def _cmd_model_promote(args: argparse.Namespace) -> int:
-    record = _registry(args).promote(args.model)
-    print(f"promoted {record.fingerprint} as the active "
-          f"{record.policy!r} model")
-    return 0
-
-
-def _cmd_model_gc(args: argparse.Namespace) -> int:
-    registry = _registry(args)
-    removed = registry.gc()
-    kept = registry.store.fingerprints()
-    print(f"removed {len(removed)} model(s), kept {len(kept)} active")
-    for fingerprint in removed:
-        print(f"  - {fingerprint}")
-    return 0
 
 
 def _cmd_repro_all(args: argparse.Namespace) -> int:
@@ -682,28 +435,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
     print("figures:   ", "fig5, fig6, fig7, fig8, fig9")
     print("repro-all: ", ", ".join(sorted(REPRO_EXPERIMENTS)))
     return 0
-
-
-def _add_model_run_flags(p: argparse.ArgumentParser) -> None:
-    """Model-lifecycle flags shared by ``run`` and ``campaign``."""
-    p.add_argument("--registry", default=None, metavar="DIR",
-                   help="model registry directory (see 'dozznoc model')")
-    p.add_argument("--online", action="store_true",
-                   help="update the ML predictor online (per-epoch RLS)")
-    p.add_argument("--online-lam", type=float, default=1e-2,
-                   help="online ridge penalty (default 0.01)")
-    p.add_argument("--forgetting", type=float, default=1.0,
-                   help="online forgetting factor in (0, 1] (default 1.0)")
-    p.add_argument("--warmup", type=int, default=8,
-                   help="online updates before learned weights go live")
-    p.add_argument("--drift-threshold", type=float, default=0.0,
-                   help="feature-drift alert threshold (0 = monitor off)")
-    p.add_argument("--drift-action", default="none",
-                   choices=["none", "reset", "fallback"],
-                   help="what a drift alert does (default: count only)")
-    p.add_argument("--shadow", default=None, metavar="MODEL",
-                   help="registered candidate to score in shadow "
-                        "(never acted on)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -770,10 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--telemetry", default=None, metavar="DIR",
                        help="capture per-epoch telemetry and write the "
                             "series/summary artifacts into DIR")
-    p_run.add_argument("--model", default=None, metavar="MODEL",
-                       help="serve a registered model's weights "
-                            "(fingerprint or unique prefix)")
-    _add_model_run_flags(p_run)
     p_run.add_argument("--profile", action="store_true",
                        help="capture a cProfile of the run into the "
                             "--telemetry directory")
@@ -808,14 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cache trained weights and simulation results")
     p_camp.add_argument("--audit", action="store_true",
                         help="run invariant audits on every evaluation run")
-    p_camp.add_argument("--model", action="append", default=None,
-                        metavar="MODEL",
-                        help="serve a registered model instead of training "
-                             "its policy (repeatable)")
-    _add_model_run_flags(p_camp)
-    p_camp.add_argument("--promote-on-pass", action="store_true",
-                        help="promote the --shadow candidate in the "
-                             "registry when the gate passes")
     p_camp.add_argument("--telemetry", default=None, metavar="DIR",
                         help="write per-task telemetry plus a merged "
                              "campaign-summary into DIR")
@@ -858,9 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="draw a random fault-injection profile per "
                              "trial and fuzz the graceful-degradation "
                              "paths too")
-    p_fuzz.add_argument("--online", action="store_true",
-                        help="also draw a random online-learning config "
-                             "per trial (ML policies learn per-epoch)")
     p_fuzz.add_argument("--quiet", action="store_true",
                         help="suppress per-trial progress lines")
     p_fuzz.add_argument(
@@ -878,70 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: all four)",
     )
     p_fuzz.set_defaults(fn=_cmd_fuzz)
-
-    p_model = sub.add_parser(
-        "model",
-        help="model lifecycle: train/list/show/eval/promote/gc a registry",
-    )
-    msub = p_model.add_subparsers(dest="model_command", required=True)
-
-    def registry_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--registry", required=True, metavar="DIR",
-                       help="model registry directory")
-
-    m_train = msub.add_parser(
-        "train", help="train a policy model and register the artifact"
-    )
-    m_train.add_argument("--policy", choices=["lead", "dozznoc", "turbo"],
-                         default="dozznoc")
-    m_train.add_argument("--duration", type=float, default=12_000.0,
-                         help="per-trace duration in ns for the training "
-                              "suite (default 12000)")
-    m_train.add_argument("--seed", type=int, default=0)
-    m_train.add_argument("--compressed", action="store_true")
-    m_train.add_argument("--note", default="",
-                         help="free-form note stored with the artifact")
-    registry_arg(m_train)
-    m_train.set_defaults(fn=_cmd_model_train)
-
-    m_list = msub.add_parser("list", help="list registered models")
-    m_list.add_argument("--ids-only", action="store_true",
-                        help="print bare fingerprints, one per line")
-    registry_arg(m_list)
-    m_list.set_defaults(fn=_cmd_model_list)
-
-    m_show = msub.add_parser("show", help="show one model's metadata")
-    m_show.add_argument("model", help="fingerprint or unique prefix")
-    registry_arg(m_show)
-    m_show.set_defaults(fn=_cmd_model_show)
-
-    m_eval = msub.add_parser(
-        "eval",
-        help="shadow-score a candidate vs the incumbent on one benchmark",
-    )
-    m_eval.add_argument("model", help="candidate fingerprint or prefix")
-    m_eval.add_argument("--incumbent", default=None, metavar="MODEL",
-                        help="explicit incumbent (default: the active "
-                             "model, else the reactive policy)")
-    m_eval.add_argument("--benchmark", choices=sorted(BENCHMARK_NAMES),
-                        default="canneal")
-    m_eval.add_argument("--duration", type=float, default=12_000.0)
-    m_eval.add_argument("--seed", type=int, default=0)
-    registry_arg(m_eval)
-    m_eval.set_defaults(fn=_cmd_model_eval)
-
-    m_promote = msub.add_parser(
-        "promote", help="mark a model active for its policy"
-    )
-    m_promote.add_argument("model", help="fingerprint or unique prefix")
-    registry_arg(m_promote)
-    m_promote.set_defaults(fn=_cmd_model_promote)
-
-    m_gc = msub.add_parser(
-        "gc", help="delete every non-active model artifact"
-    )
-    registry_arg(m_gc)
-    m_gc.set_defaults(fn=_cmd_model_gc)
 
     p_repro = sub.add_parser(
         "repro-all",

@@ -73,11 +73,3 @@ class PoolTimeoutError(ExecError):
 class TrainingError(ReproError):
     """The offline ML training pipeline failed."""
 
-
-class ModelError(ReproError):
-    """The model registry rejected an artifact or lookup.
-
-    Raised for integrity failures (digest mismatch on load), unknown or
-    ambiguous model references, and schema-incompatible models (wrong
-    feature set or epoch size for the requesting run).
-    """

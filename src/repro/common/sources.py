@@ -33,17 +33,6 @@ _VERSIONED_MODULES: tuple[str, ...] = (
     "repro.faults",
     "repro.faults.config",
     "repro.faults.scheduler",
-    # repro.models is versioned wholesale: online learning and drift
-    # actions change results directly; the registry decides which weights
-    # a campaign serves; shadow/gates ride along for safety even though
-    # they are observe-only.
-    "repro.models",
-    "repro.models.drift",
-    "repro.models.gates",
-    "repro.models.online",
-    "repro.models.registry",
-    "repro.models.shadow",
-    "repro.models.store",
     "repro.noc.array_sim",
     "repro.noc.buffer",
     "repro.noc.fabrics",

@@ -66,10 +66,9 @@ def ticks_to_ns(ticks: int) -> float:
 # --------------------------------------------------------------------- #
 # Exact fixed-point micro-units
 # --------------------------------------------------------------------- #
-# Shared by the telemetry layer (repro.telemetry.metrics re-exports both
-# names) and the model-lifecycle layer (drift scores, shadow errors):
-# float observations quantized to integer micro-units accumulate with
-# exact integer adds, so aggregates merge associatively and are
+# Used by the telemetry layer (repro.telemetry.metrics re-exports both
+# names): float observations quantized to integer micro-units accumulate
+# with exact integer adds, so aggregates merge associatively and are
 # independent of --jobs and merge order.
 
 #: Fixed-point scale for float-valued observations (micro-units): a

@@ -112,23 +112,15 @@ class PowerPolicy:
 
         A non-finite prediction falls back to the epoch's *measured*
         utilization — the reactive threshold policy — instead of steering
-        the VR with garbage.  ``sim`` (optional) receives the fallback
-        count, split by cause: a non-finite *feature* vector is fault
-        injection's doing (``predictor_fallbacks_fault``, NaN/inf
-        propagate through any weights), while non-finite features-clean
-        predictions can only come from non-finite *weights* — the online
-        learner's post-divergence all-NaN vector
-        (``predictor_fallbacks_online``).
+        the VR with garbage.  ``sim`` (optional) counts the fallback in
+        ``predictor_fallbacks``.
         """
         u = self.predict_utilization(router, features)
         self.last_prediction = u
         if not math.isfinite(u):
             u = router.current_ibu()
             if sim is not None:
-                if features is not None and not np.all(np.isfinite(features)):
-                    sim.stats.predictor_fallbacks_fault += 1
-                else:
-                    sim.stats.predictor_fallbacks_online += 1
+                sim.stats.predictor_fallbacks += 1
         target = self.adjust_mode(router, mode_index_for_utilization(u))
         if self.allowed_modes is not None and target not in self.allowed_modes:
             target = min(m for m in self.allowed_modes if m >= target)

@@ -62,14 +62,16 @@ if TYPE_CHECKING:  # pragma: no cover - avoids an exec<->experiments cycle
 #: cached results can never mix model versions or online/offline runs.
 #: v5: ``SimConfig`` gained ``backend`` (object vs array kernel); the
 #: field joins the config digest automatically, but the bump retires v4
-#: entries whose keys predate it.  v6: ``ModelMetrics`` gained
-#: ``drift_alerts`` (drift-monitor trips surfaced in serve status); the
-#: payload field set changed, so older entries must be re-simulated.
+#: entries whose keys predate it.  v6: ``ModelMetrics`` gained a
+#: drift-monitor trip counter; the payload field set changed, so older
+#: entries must be re-simulated.
 #: v7: the fabric subsystem landed (:mod:`repro.noc.fabrics` — torus and
 #: ring topologies, precomputed route tables, cell-bubble flow control)
 #: and the default backend flipped to ``array``; the new module joins the
-#: code digest and older entries predate its coverage.
-SCHEMA_VERSION = 7
+#: code digest and older entries predate its coverage.  v8: the model
+#: lifecycle tier was retired — ``ModelMetrics`` lost the drift-monitor
+#: counter and run keys lost their ``model=`` and ``online=`` parts.
+SCHEMA_VERSION = 8
 
 
 def _weights_digest(weights: np.ndarray | None) -> str:
@@ -101,21 +103,13 @@ def run_key(
     feature_names: tuple[str, ...],
     feature_set_name: str,
     faults: "object | None" = None,
-    model: str | None = None,
-    online: "object | None" = None,
     allowed_modes: tuple[int, ...] | None = None,
 ) -> str:
     """The content address of one (policy, trace, config, weights) run.
 
     ``faults`` is an optional :class:`repro.faults.FaultConfig`; fault
     injection changes results, so faulted and clean runs of the same
-    task must never share a cache entry.  ``model`` is the registry
-    fingerprint of a served model (weights are byte-keyed regardless,
-    but the fingerprint pins the registry *version* so two models that
-    happen to share weights still never alias).  ``online`` is an
-    optional :class:`repro.models.OnlineConfig`; online learning evolves
-    the policy mid-run, so online and frozen runs must never share an
-    entry either.  ``allowed_modes`` restricts the DVFS ladder; it adds a
+    task must never share a cache entry.  ``allowed_modes`` restricts the DVFS ladder; it adds a
     key part only when set, so unrestricted runs keep their keys.
     """
     parts = [
@@ -127,8 +121,6 @@ def run_key(
         f"trace={trace_fingerprint(trace)}",
         f"weights={_weights_digest(weights)}",
         f"faults={'none' if faults is None else faults.fingerprint()}",
-        f"model={'none' if model is None else model}",
-        f"online={'none' if online is None else online.fingerprint()}",
     ]
     if allowed_modes is not None:
         ladder = sorted(set(allowed_modes))

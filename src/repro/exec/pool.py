@@ -46,7 +46,6 @@ from repro.core.features import FULL_FEATURES, REDUCED_FEATURES, FeatureSet
 from repro.exec.cache import RunCache, capture_key, run_cache_for, run_key
 from repro.exec.journal import CampaignJournal
 from repro.faults import FaultConfig
-from repro.models.online import OnlineConfig
 from repro.ml.ridge import RidgeModel
 from repro.ml.training import (
     DEFAULT_LAMBDAS,
@@ -164,19 +163,6 @@ class SimTask:
     #: key — a cache hit skips the simulation and therefore emits no
     #: fresh series (the campaign aggregate counts it as cached).
     telemetry_dir: str | None = None
-    #: Registry fingerprint of the served model, when ``weights`` came
-    #: from :class:`repro.models.ModelRegistry` (changes the cache key:
-    #: two registered models must never alias, even with equal weights).
-    model_fingerprint: str | None = None
-    #: Optional online-learning configuration; the learner evolves the
-    #: policy mid-run, so it changes results and joins the cache key.
-    online: OnlineConfig | None = None
-    #: Optional candidate weights scored in shadow.  Shadow evaluation
-    #: observes the run without changing it, so — like telemetry — it is
-    #: **not** part of the cache key; a cache hit simply contributes no
-    #: shadow samples, which the promotion gate treats as insufficient
-    #: evidence.
-    shadow_weights: np.ndarray | None = None
     #: Optional restricted DVFS ladder, passed to
     #: :func:`~repro.core.controller.make_policy` (changes results, so it
     #: joins the cache key).
@@ -187,9 +173,7 @@ class SimTask:
         fs = resolve_feature_set(self.feature_set)
         return run_key(
             self.policy, self.trace, self.sim, self.weights, fs.names,
-            fs.name, faults=self.faults,
-            model=self.model_fingerprint, online=self.online,
-            allowed_modes=self.allowed_modes,
+            fs.name, faults=self.faults, allowed_modes=self.allowed_modes,
         )
 
 
@@ -264,16 +248,9 @@ def execute_sim_task(task: SimTask) -> "ModelMetrics":
         from repro.telemetry import TelemetryRecorder
 
         telemetry = TelemetryRecorder()
-    shadow = None
-    if task.shadow_weights is not None:
-        from repro.models.shadow import ShadowScorer
-
-        shadow = ShadowScorer(
-            task.shadow_weights, incumbent_weights=task.weights
-        )
     result = run_simulation(
         task.sim, task.trace, policy, audit=audit, faults=task.faults,
-        telemetry=telemetry, online=task.online, shadow=shadow,
+        telemetry=telemetry,
     )
     if telemetry is not None:
         from repro.telemetry import write_series, write_summary

@@ -87,8 +87,6 @@ _MEMO_MODULES: tuple[str, ...] = (
     "repro.ml.metrics",
     "repro.ml.ridge",
     "repro.ml.training",
-    "repro.models.gates",
-    "repro.models.shadow",
     "repro.power.dsent",
     "repro.regulator.efficiency",
     "repro.regulator.latency",

@@ -49,9 +49,6 @@ from repro.experiments.runner import (
 )
 from repro.faults import FaultConfig
 from repro.ml.training import DEFAULT_LAMBDAS
-from repro.models.gates import PromotionGate
-from repro.models.online import OnlineConfig
-from repro.models.registry import ModelRegistry
 from repro.traffic.suite import TraceSuite, build_suite
 
 #: Which models need a trained predictor.
@@ -94,31 +91,6 @@ class CampaignConfig:
     #: and is not part of any cache key; cache hits therefore emit no
     #: fresh per-task series (they are counted as ``pool_tasks_cached``).
     telemetry_dir: str | Path | None = None
-    # ------------------------------------------------------------------ #
-    # Model lifecycle (repro.models)
-    # ------------------------------------------------------------------ #
-    #: Model registry directory.  Required for ``registry_models`` /
-    #: ``shadow_model`` references below.
-    registry_dir: str | Path | None = None
-    #: Registered model references (fingerprints or unique prefixes) to
-    #: *serve* instead of training: each resolves to a record whose
-    #: policy's offline training phase is skipped and whose fingerprint
-    #: joins that policy's run-cache keys.
-    registry_models: tuple[str, ...] = ()
-    #: Per-epoch online RLS learning applied to every ML-model run
-    #: (changes results; part of those runs' cache keys).
-    online: OnlineConfig | None = None
-    #: Registered candidate reference to run in shadow on every ML-model
-    #: run (observe-only; requires ``telemetry_dir`` so the shadow
-    #: accumulators survive the worker boundary).
-    shadow_model: str | None = None
-    #: Promotion gate judging the shadow candidate from the merged
-    #: telemetry aggregate (defaults applied when ``shadow_model`` is
-    #: set); the decision lands in ``campaign-summary.json``.
-    gate: PromotionGate | None = None
-    #: Atomically promote the shadow candidate in the registry when the
-    #: gate passes.
-    promote_on_pass: bool = False
 
 
 @dataclass
@@ -133,9 +105,6 @@ class CampaignResult:
     #: attempt, recovered from the checkpoint journal without
     #: re-simulating (0 for a fresh or journal-less campaign).
     resumed_tasks: int = 0
-    #: Promotion-gate decision for the shadow candidate (as written to
-    #: ``campaign-summary.json``), or None when no candidate ran.
-    promotion: dict | None = None
 
     def average_normalized(self, model: str) -> NormalizedMetrics:
         """Mean normalized metrics for ``model`` across test traces."""
@@ -199,20 +168,16 @@ def train_ml_models(
     suite: TraceSuite,
     campaign: CampaignConfig,
     jobs: int | None = None,
-    skip: frozenset[str] | set[str] = frozenset(),
 ) -> dict[str, np.ndarray]:
     """Offline phase: one trained weight vector per ML model.
 
     Every (model, trace) capture fans out over ``jobs`` workers and is
     cached under the campaign's ``cache_dir`` alongside the trained
-    weights.  Models in ``skip`` (served from the model registry) are
-    not trained.
+    weights.
     """
     jobs = campaign.jobs if jobs is None else jobs
     spec = feature_set_spec(campaign.feature_set)
-    models = [
-        m for m in ML_MODELS if m in campaign.models and m not in skip
-    ]
+    models = [m for m in ML_MODELS if m in campaign.models]
     tasks = [
         TrainTask(
             policy=model,
@@ -250,7 +215,6 @@ def write_campaign_telemetry(
     health: PoolHealth,
     campaign: CampaignConfig,
     resumed_tasks: int = 0,
-    candidate_fingerprint: str | None = None,
 ) -> Path:
     """Merge per-task telemetry into ``campaign-summary.json`` + ``.prom``.
 
@@ -289,18 +253,6 @@ def write_campaign_telemetry(
         "pool": health.as_dict(),
         "merged_from": [p.name for p in task_paths],
     }
-    if campaign.shadow_model is not None:
-        # Judge the shadow candidate from the merged aggregate: the
-        # shadow accumulators are merge-associative integers, so the
-        # decision is identical for any --jobs / merge order.  Cache
-        # hits contribute no shadow samples, which the gate reports as
-        # insufficient evidence rather than a promotion.
-        gate = campaign.gate or PromotionGate()
-        decision = gate.evaluate_metrics(merged)
-        meta["promotion"] = {
-            "candidate": candidate_fingerprint or campaign.shadow_model,
-            **decision.as_dict(),
-        }
     json_path = directory / CAMPAIGN_SUMMARY
     json_path.write_text(
         json.dumps(summary_payload(merged, meta), indent=2, sort_keys=True)
@@ -315,20 +267,17 @@ def write_campaign_telemetry(
 class CampaignPlan:
     """Everything a campaign needs *before* any evaluation runs.
 
-    Built by :func:`prepare_campaign` — the trace suite, trained (or
-    registry-served) weights, and the ordered evaluation task list.  The
-    construction is deterministic in the campaign config, so every
-    attempt of the same campaign derives the same task list and cache
-    keys, which is what lets a resumed attempt find its finished work.
+    Built by :func:`prepare_campaign` — the trace suite, trained weights,
+    and the ordered evaluation task list.  The construction is
+    deterministic in the campaign config, so every attempt of the same
+    campaign derives the same task list and cache keys, which is what
+    lets a resumed attempt find its finished work.
     """
 
     campaign: CampaignConfig
     suite: TraceSuite
     weights: dict[str, np.ndarray]
     tasks: list[SimTask]
-    served: dict[str, str]  # policy -> registry fingerprint
-    registry: ModelRegistry | None = None
-    candidate: "object | None" = None  # shadow ModelRecord
 
 
 def _phase(recorder, name: str):
@@ -341,48 +290,12 @@ def prepare_campaign(
     jobs: int | None = None,
     recorder=None,
 ) -> CampaignPlan:
-    """Resolve models, build the suite, train, and lay out the tasks.
+    """Build the suite, train, and lay out the tasks.
 
     ``recorder`` (a :class:`~repro.telemetry.TelemetryRecorder`) wraps
     the build/train work in its phase timers when given.
     """
     jobs = campaign.jobs if jobs is None else jobs
-
-    # Model lifecycle: resolve registry-served models and the shadow
-    # candidate up front so an invalid reference fails fast, before any
-    # training or simulation is spent.
-    registry = None
-    served: dict[str, str] = {}  # policy -> fingerprint
-    served_weights: dict[str, np.ndarray] = {}
-    candidate = None
-    if campaign.registry_models or campaign.shadow_model is not None:
-        if campaign.registry_dir is None:
-            raise ValueError(
-                "registry_models/shadow_model require registry_dir"
-            )
-        registry = ModelRegistry(campaign.registry_dir)
-        for ref in campaign.registry_models:
-            record = registry.get(ref)
-            registry.check_compatible(
-                record, campaign.feature_set, campaign.sim.epoch_cycles
-            )
-            if record.policy not in campaign.models:
-                raise ValueError(
-                    f"registered model {record.fingerprint} is for policy "
-                    f"{record.policy!r}, not in this campaign's models"
-                )
-            served[record.policy] = record.fingerprint
-            served_weights[record.policy] = record.weights_array()
-        if campaign.shadow_model is not None:
-            if campaign.telemetry_dir is None:
-                raise ValueError(
-                    "shadow_model requires telemetry_dir (shadow scores "
-                    "travel through the telemetry summaries)"
-                )
-            candidate = registry.get(campaign.shadow_model)
-            registry.check_compatible(
-                candidate, campaign.feature_set, campaign.sim.epoch_cycles
-            )
 
     with _phase(recorder, "build_suite"):
         suite = build_suite(
@@ -392,10 +305,7 @@ def prepare_campaign(
             compressed=campaign.compressed,
         )
     with _phase(recorder, "train"):
-        weights = train_ml_models(
-            suite, campaign, jobs=jobs, skip=set(served)
-        )
-    weights.update(served_weights)
+        weights = train_ml_models(suite, campaign, jobs=jobs)
 
     spec = feature_set_spec(campaign.feature_set)
     tasks = [
@@ -411,13 +321,6 @@ def prepare_campaign(
                 None if campaign.telemetry_dir is None
                 else str(campaign.telemetry_dir)
             ),
-            model_fingerprint=served.get(model),
-            online=campaign.online if model in ML_MODELS else None,
-            shadow_weights=(
-                candidate.weights_array()
-                if candidate is not None and model in ML_MODELS
-                else None
-            ),
         )
         for trace in suite.test
         for model in campaign.models
@@ -427,9 +330,6 @@ def prepare_campaign(
         suite=suite,
         weights=weights,
         tasks=tasks,
-        served=served,
-        registry=registry,
-        candidate=candidate,
     )
 
 
@@ -437,7 +337,6 @@ def assemble_campaign_result(
     plan: CampaignPlan,
     metrics_list: "list[ModelMetrics]",
     resumed: int = 0,
-    promotion: dict | None = None,
 ) -> CampaignResult:
     """Fold per-task metrics (in task order) into a :class:`CampaignResult`."""
     campaign = plan.campaign
@@ -459,42 +358,7 @@ def assemble_campaign_result(
         normalized=normalized,
         weights=plan.weights,
         resumed_tasks=resumed,
-        promotion=promotion,
     )
-
-
-def finalize_campaign_telemetry(
-    plan: CampaignPlan,
-    recorder,
-    health: PoolHealth,
-    resumed: int = 0,
-) -> dict | None:
-    """Write the merged telemetry summary; returns the promotion verdict.
-
-    Applies ``promote_on_pass`` to the registry when the gate passed.
-    """
-    from repro.telemetry.io import load_summary
-
-    campaign = plan.campaign
-    json_path = write_campaign_telemetry(
-        Path(campaign.telemetry_dir), recorder, health, campaign,
-        resumed_tasks=resumed,
-        candidate_fingerprint=(
-            None if plan.candidate is None else plan.candidate.fingerprint
-        ),
-    )
-    meta, _ = load_summary(json_path)
-    promotion = meta.get("promotion")
-    if (
-        campaign.promote_on_pass
-        and plan.registry is not None
-        and plan.candidate is not None
-        and promotion is not None
-        and promotion.get("promoted")
-    ):
-        plan.registry.promote(plan.candidate.fingerprint)
-        promotion = dict(promotion, promoted_in_registry=True)
-    return promotion
 
 
 # ---------------------------------------------------------------------- #
@@ -615,11 +479,9 @@ def run_campaign(
         if journal is not None:
             journal.close()
 
-    promotion = None
     if recorder is not None:
-        promotion = finalize_campaign_telemetry(
-            plan, recorder, health, resumed=resumed
+        write_campaign_telemetry(
+            Path(campaign.telemetry_dir), recorder, health, campaign,
+            resumed_tasks=resumed,
         )
-    return assemble_campaign_result(
-        plan, results, resumed=resumed, promotion=promotion
-    )
+    return assemble_campaign_result(plan, results, resumed=resumed)

@@ -1,7 +1,7 @@
 """``dozznoc repro-all``: one-command reproduction of every result.
 
 This module owns the declarative registry behind the push-button
-artifact: every paper table/figure plus the fault/telemetry/promotion
+artifact: every paper table/figure plus the fault/telemetry/fabric
 extensions, each reduced to one :class:`ReproEntry` whose builder returns
 a plain JSON payload of the shape::
 
@@ -624,64 +624,6 @@ def _build_telemetry(ctx: ReproContext) -> dict:
     }
 
 
-def _build_shadow_promotion(ctx: ReproContext) -> dict:
-    from repro.core.controller import make_policy
-    from repro.exec.pool import TrainTask, train_models
-    from repro.models.gates import PromotionGate
-    from repro.models.shadow import ShadowScorer
-    from repro.noc.simulator import run_simulation
-    from repro.traffic.suite import build_suite
-
-    # Incumbent trained on the suite's own seed; candidate trained on a
-    # shifted-seed suite so the two genuinely disagree, then scored in
-    # shadow on one held-out test trace and judged by the default gate.
-    suite = build_suite(
-        num_cores=ctx.scale.sim.num_cores,
-        duration_ns=ctx.scale.duration_ns,
-        seed=ctx.scale.seed,
-    )
-    cand_suite = build_suite(
-        num_cores=ctx.scale.sim.num_cores,
-        duration_ns=ctx.scale.duration_ns,
-        seed=ctx.scale.seed + 1,
-    )
-    incumbent, candidate = train_models(
-        [
-            TrainTask("dozznoc", s.train, s.validation, ctx.scale.sim,
-                      cache_dir=ctx.scale.cache_dir)
-            for s in (suite, cand_suite)
-        ],
-        jobs=ctx.scale.jobs,
-    )
-    shadow = ShadowScorer(
-        candidate.model.weights, incumbent_weights=incumbent.model.weights
-    )
-    trace = suite.test[0]
-    run_simulation(
-        ctx.scale.sim, trace,
-        make_policy("dozznoc", weights=incumbent.model.weights),
-        shadow=shadow,
-    )
-    shadow.finalize()
-    scored, cand_err, inc_err, wins, skipped = shadow.counter_values()
-    decision = PromotionGate().evaluate(scored, cand_err, inc_err, wins)
-    counters = {
-        "scored": scored,
-        "candidate_abs_err_micro": cand_err,
-        "incumbent_abs_err_micro": inc_err,
-        "candidate_wins": wins,
-        "skipped": skipped,
-    }
-    return {
-        "headlines": {**counters, "promoted": bool(decision.promoted)},
-        "table": {
-            "headers": ["quantity", "value"],
-            "rows": [[name, value] for name, value in counters.items()],
-        },
-        "data": {"benchmark": trace.name, "decision": decision.as_dict()},
-    }
-
-
 # ---------------------------------------------------------------------- #
 # The declarative registry
 # ---------------------------------------------------------------------- #
@@ -740,8 +682,6 @@ REPRO_EXPERIMENTS: dict[str, ReproEntry] = {
                    "extension", True, _build_faults),
         ReproEntry("telemetry", "deterministic telemetry counters "
                    "(extension)", "extension", True, _build_telemetry),
-        ReproEntry("shadow_promotion", "shadow scoring + promotion gate "
-                   "(extension)", "extension", True, _build_shadow_promotion),
     )
 }
 

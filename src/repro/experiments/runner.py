@@ -59,9 +59,6 @@ class ModelMetrics:
     flits_retransmitted: float = 0.0
     vr_safe_mode_entries: float = 0.0
     predictor_fallbacks: float = 0.0
-    #: Drift-monitor trips during the run (0 unless --drift-threshold
-    #: armed the monitor); surfaced in serve /status health payloads.
-    drift_alerts: float = 0.0
 
     @classmethod
     def from_result(cls, result: SimResult) -> "ModelMetrics":
@@ -83,7 +80,6 @@ class ModelMetrics:
             flits_retransmitted=summary["flits_retransmitted"],
             vr_safe_mode_entries=summary["vr_safe_mode_entries"],
             predictor_fallbacks=summary["predictor_fallbacks"],
-            drift_alerts=float(result.stats.drift_alerts),
         )
 
 

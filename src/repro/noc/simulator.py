@@ -38,8 +38,6 @@ from repro.common.errors import SimulationError
 from repro.common.units import BASE_TICKS_PER_NS, ns_to_ticks
 from repro.core.states import PowerState
 from repro.faults import FaultConfig, FaultScheduler
-from repro.models.drift import DriftMonitor
-from repro.models.online import OnlineConfig, OnlineRidge
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a core<->noc import cycle
     from repro.core.controller import PowerPolicy
@@ -126,8 +124,6 @@ class Simulator:
         audit=None,
         faults: "FaultConfig | FaultScheduler | None" = None,
         telemetry=None,
-        online: "OnlineConfig | OnlineRidge | None" = None,
-        shadow=None,
     ) -> None:
         self.config = config
         self.trace = trace
@@ -186,38 +182,8 @@ class Simulator:
         if telemetry is not None:
             telemetry.bind(self)
 
-        # Online learning / shadow evaluation / drift monitoring
-        # (repro.models).  An OnlineConfig is promoted to a fresh
-        # per-run learner warm-started from the policy's weights;
-        # updates happen in deterministic epoch-boundary order, so
-        # online runs are independent of --jobs and cache legs.  The
-        # learner *changes* results (policy weights evolve) and so
-        # joins the run-cache key upstream; the shadow scorer only
-        # observes and — like telemetry — stays out of the key.
-        if online is not None and isinstance(online, OnlineConfig):
-            online = OnlineRidge(
-                len(policy.feature_set), online, warm_weights=policy.weights
-            )
-        self.online = online
-        self.shadow = shadow
-        self._drift = None
-        if online is not None and online.config.drift_threshold > 0.0:
-            self._drift = DriftMonitor(
-                len(policy.feature_set),
-                threshold=online.config.drift_threshold,
-                window=online.config.drift_window,
-                action=online.config.drift_action,
-            )
-        self._models_active = online is not None or shadow is not None
-        if self._models_active:
-            self._prev_features: list = (
-                [None] * self.network.topology.num_routers
-            )
-
         fs = policy.feature_set
-        self._needs_features = (
-            collect_features or policy.proactive or self._models_active
-        )
+        self._needs_features = collect_features or policy.proactive
         if self._needs_features and fs.needs_port_tracking:
             if self.network.num_ports != NUM_PORTS:
                 from repro.common.errors import ConfigError
@@ -767,11 +733,6 @@ class Simulator:
                     features,
                     router.current_ibu(),
                 )
-            if self._models_active:
-                # Online/shadow/drift consume the *clean* vector —
-                # upstream of fault corruption — matching what offline
-                # training exports for the same epochs.
-                self._models_epoch(router, features)
             if self._fault_features:
                 # Corrupt the copy handed to the policy, not the training
                 # capture: a flipped sensor poisons this epoch's decision,
@@ -781,12 +742,10 @@ class Simulator:
                     features = corrupted
                     self.stats.features_corrupted += 1
                     # Only a proactive DVFS decision actually *consumes*
-                    # the poisoned vector (a reactive epoch — e.g. online
-                    # warmup without warm-start weights — reuses measured
-                    # IBU).  Nothing can change the weights between here
-                    # and the decision, so this classification is exact;
-                    # the auditor checks predictor_fallbacks_fault
-                    # against it one-for-one.
+                    # the poisoned vector (a reactive epoch reuses
+                    # measured IBU), so this classification is exact;
+                    # the auditor checks predictor_fallbacks against it
+                    # one-for-one.
                     if self.policy.proactive and self.policy.uses_dvfs:
                         self.stats.features_corrupted_predicting += 1
         self.policy.on_epoch(router, self, features)
@@ -798,52 +757,6 @@ class Simulator:
         if self.audit is not None:
             self.audit.on_epoch(self, router)
 
-    def _models_epoch(self, router: Router, features) -> None:
-        """Online-learning / shadow / drift hook for one epoch boundary.
-
-        Runs *before* this epoch's DVFS decision: the learner digests the
-        supervision pair (previous epoch's features, this epoch's measured
-        IBU) — the exact labeling protocol of
-        ``NetworkStats.record_epoch_features`` — and refreshes the live
-        policy weights so the decision about the *next* epoch already
-        benefits.
-        """
-        rid = router.rid
-        label = router.current_ibu()
-        online = self.online
-        prev = self._prev_features[rid]
-        if online is not None and prev is not None:
-            was_diverged = online.diverged
-            online.update(prev, label)
-            self.stats.online_updates += 1
-            if online.diverged and not was_diverged:
-                # From here the policy sees all-NaN weights and every
-                # decision takes the reactive fallback path (counted per
-                # epoch in predictor_fallbacks); the divergence itself is
-                # counted once.
-                self.stats.online_divergences += 1
-            w = online.weights
-            if w is not None:
-                self.policy.weights = w
-        if self._drift is not None:
-            action = self._drift.observe(features)
-            if action is not None:
-                self.stats.drift_alerts += 1
-                if action == "reset" and online is not None:
-                    online.reset()
-                    w = online.weights
-                    if w is not None:
-                        self.policy.weights = w
-                elif action == "fallback":
-                    # Permanent degradation to the reactive threshold
-                    # policy: drop the predictor and stop learning.
-                    self.policy.weights = None
-                    if online is not None:
-                        online.halt()
-        if self.shadow is not None:
-            self.shadow.on_epoch(rid, features, label)
-        self._prev_features[rid] = features
-
 
 def run_simulation(
     config: SimConfig,
@@ -854,8 +767,6 @@ def run_simulation(
     audit=None,
     faults=None,
     telemetry=None,
-    online=None,
-    shadow=None,
 ) -> SimResult:
     """One-call convenience wrapper around :class:`Simulator`.
 
@@ -870,11 +781,6 @@ def run_simulation(
     degradation paths but remains bit-reproducible for a given config.
     ``telemetry`` may be a :class:`repro.telemetry.TelemetryRecorder`;
     recording is read-only and never changes results.
-    ``online`` may be a :class:`repro.models.OnlineConfig` (or pre-built
-    :class:`repro.models.OnlineRidge`) enabling per-epoch RLS updates of
-    the policy's weights; ``shadow`` may be a
-    :class:`repro.models.ShadowScorer` that scores a candidate model's
-    predictions without ever acting on them.
 
     ``config.backend`` selects the kernel implementation: ``"object"``
     (this module) or ``"array"`` (:mod:`repro.noc.array_sim`, imported
@@ -890,9 +796,5 @@ def run_simulation(
     sim = sim_cls(
         config, trace, policy, collect_features, timeline,
         audit=audit, faults=faults, telemetry=telemetry,
-        online=online, shadow=shadow,
     )
-    result = sim.run()
-    if shadow is not None:
-        shadow.finalize()
-    return result
+    return sim.run()

@@ -65,40 +65,16 @@ class NetworkStats:
     features_corrupted: int = 0
     #: Corrupted vectors that reached a *proactive* DVFS decision — the
     #: subset of ``features_corrupted`` that must trip exactly one
-    #: fault-lane fallback (a reactive epoch, e.g. online warmup without
-    #: warm-start weights, consumes the corruption without predicting).
+    #: fallback (a reactive epoch consumes the corruption without
+    #: predicting).
     features_corrupted_predicting: int = 0
-    # The threshold-fallback counter is split by *cause* so the auditor
-    # can check each lane against its own ledger (see
-    # ``repro.validate.invariants._check_fault_accounting``); the
-    # ``predictor_fallbacks`` total below is derived and keeps summaries
-    # byte-identical to the unsplit counter.
-    #: Fallbacks caused by fault-injected (non-finite) feature vectors.
-    predictor_fallbacks_fault: int = 0
-    #: Fallbacks caused by non-finite *weights* — the online learner's
-    #: post-divergence all-NaN weights (clean features, poisoned model).
-    predictor_fallbacks_online: int = 0
-    # ------------------------------------------------------------------ #
-    # Model-lifecycle ledger (repro.models; all zero unless online
-    # learning is enabled).  Kept out of summary() deliberately: golden
-    # traces fingerprint the summary, and these counters are surfaced
-    # through telemetry instead.
-    # ------------------------------------------------------------------ #
-    #: Per-epoch RLS updates applied by the online learner.
-    online_updates: int = 0
-    #: Online-learner divergences (non-finite solve froze the learner).
-    online_divergences: int = 0
-    #: Drift-monitor alerts (feature distribution shifted past threshold).
-    drift_alerts: int = 0
+    #: Epochs where a non-finite prediction fell back to the threshold
+    #: (measured-utilization) policy; the auditor checks it one-for-one
+    #: against ``features_corrupted_predicting``.
+    predictor_fallbacks: int = 0
     #: Offline-training capture (populated when feature collection is on).
     epoch_records: list[EpochRecord] = field(default_factory=list)
     _open_records: dict[int, EpochRecord] = field(default_factory=dict)
-
-    @property
-    def predictor_fallbacks(self) -> int:
-        """Epochs where a non-finite prediction fell back to the threshold
-        (measured-utilization) policy, across both cause lanes."""
-        return self.predictor_fallbacks_fault + self.predictor_fallbacks_online
 
     # ------------------------------------------------------------------ #
     # Delivery metrics

@@ -28,9 +28,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-# Quantization lives in the leaf module repro.common.units so the
-# model-lifecycle layer (imported by the kernel) can share it without
-# pulling in this package; re-exported here for all existing callers.
+# Quantization lives in the leaf module repro.common.units; re-exported
+# here for all existing callers.
 from repro.common.units import MICRO, quantize
 
 __all__ = [

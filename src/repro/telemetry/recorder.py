@@ -125,37 +125,6 @@ class TelemetryRecorder:
             m.counter(f"fault_{name}_total", f"run total of stats.{name}")
             for name in _FAULT_FIELDS
         ]
-        # Model-lifecycle counters (repro.models): online-learner and
-        # drift-monitor totals folded from stats at end-of-run, plus the
-        # shadow scorer's exact-integer accumulators.  All integer and
-        # merge-associative, so campaign aggregates are --jobs-invariant.
-        self._model_counters = [
-            m.counter(name, help_)
-            for name, help_ in (
-                ("online_updates_total",
-                 "per-epoch RLS updates applied by the online learner"),
-                ("online_divergences_total",
-                 "online-learner divergences (learner froze, policy "
-                 "degraded to reactive fallback)"),
-                ("drift_alerts_total",
-                 "feature-drift alerts raised by the drift monitor"),
-            )
-        ]
-        self._shadow_counters = [
-            m.counter(name, help_)
-            for name, help_ in (
-                ("shadow_scored_total",
-                 "shadow candidate-vs-incumbent prediction pairs scored"),
-                ("shadow_candidate_abs_err_micro",
-                 "summed |candidate prediction - measured IBU| (micro)"),
-                ("shadow_incumbent_abs_err_micro",
-                 "summed |incumbent prediction - measured IBU| (micro)"),
-                ("shadow_candidate_wins_total",
-                 "shadow pairs where the candidate beat the incumbent"),
-                ("shadow_skipped_total",
-                 "shadow pairs skipped for non-finite predictions"),
-            )
-        ]
         self._phases: dict[str, Counter] = {}
 
         # Series rows: plain tuples appended on the epoch path, rendered
@@ -287,17 +256,6 @@ class TelemetryRecorder:
         stats = sim.stats
         for counter, name in zip(self._fault_counters, _FAULT_FIELDS):
             counter.value += getattr(stats, name)
-        for counter, name in zip(
-            self._model_counters,
-            ("online_updates", "online_divergences", "drift_alerts"),
-        ):
-            counter.value += getattr(stats, name)
-        shadow = getattr(sim, "shadow", None)
-        if shadow is not None:
-            for counter, value in zip(
-                self._shadow_counters, shadow.counter_values()
-            ):
-                counter.value += value
         self.meta.update(
             drained=drained,
             final_tick=sim.now_tick,

@@ -65,9 +65,8 @@ def build_suite(
     return _build_suite(num_cores, duration_ns, seed, compressed, cache_dir)
 
 
-#: A repro-all builds four distinct suites (plain, compressed, shifted
-#: seed, and a second core count) and a campaign one; eight leaves room
-#: to spare.  A paper-scale suite (64 cores, 20 us) holds ~12 MB of
+#: A repro-all builds three distinct suites (plain, compressed, and a
+#: second core count); eight leaves room to spare.  A paper-scale suite (64 cores, 20 us) holds ~12 MB of
 #: trace arrays, so the memo stays under ~100 MB even when full.
 @lru_cache(maxsize=8)
 def _build_suite(

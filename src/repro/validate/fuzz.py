@@ -18,7 +18,7 @@ task on the structure-of-arrays kernel (``backend="array"``,
 :mod:`repro.noc.array_sim`) with its own auditor attached and demands
 ``ModelMetrics`` equality against the object-kernel run — the randomized
 proof that the two kernels are bit-identical, across all five policies,
-switching modes, fault injection and online learning.
+switching modes and fault injection.
 
 Every leg must produce *identical* :class:`ModelMetrics`; any divergence,
 and any invariant violation, is recorded as a failure with a JSON repro
@@ -46,7 +46,6 @@ from repro.exec.cache import RunCache
 from repro.exec.pool import SimTask, run_sim_tasks
 from repro.experiments.runner import MODEL_NAMES, ModelMetrics
 from repro.faults import FaultConfig
-from repro.models.online import OnlineConfig
 from repro.noc.fabrics import FABRIC_NAMES
 from repro.noc.simulator import Simulator
 from repro.traffic.trace import KIND_REQUEST, KIND_RESPONSE, Trace
@@ -68,14 +67,9 @@ class FuzzTrial:
     weights: np.ndarray | None  # shared by the ML policies when not None
     #: Deterministic fault injection for every leg (``--faults`` mode).
     faults: FaultConfig | None = None
-    #: Online-learning config for the ML policies (``--online`` mode).
-    online: OnlineConfig | None = None
 
     def weights_for(self, policy: str) -> np.ndarray | None:
         return self.weights if policy in ML_POLICIES else None
-
-    def online_for(self, policy: str) -> OnlineConfig | None:
-        return self.online if policy in ML_POLICIES else None
 
 
 @dataclass(frozen=True)
@@ -123,7 +117,6 @@ def build_trial(
     master_seed: int,
     index: int,
     faults: bool = False,
-    online: bool = False,
     fabrics: tuple[str, ...] | None = None,
 ) -> FuzzTrial:
     """Draw trial ``index``'s configuration and trace, deterministically.
@@ -133,11 +126,10 @@ def build_trial(
     The draw indexes into the *requested* pool, so a restricted session is
     deterministic in its own right but follows a different schedule from
     an unrestricted one.  ``faults`` additionally draws a random
-    :class:`FaultConfig` applied to every leg of the trial; ``online``
-    additionally draws a random :class:`OnlineConfig` for the ML
-    policies.  Each optional draw block happens *after* all earlier draws
-    (faults, then online), so disabling a flag keeps trials bit-identical
-    to the historical schedule for the same ``(master_seed, index)``.
+    :class:`FaultConfig` applied to every leg of the trial.  That draw
+    happens *after* all earlier draws, so disabling the flag keeps trials
+    bit-identical to the historical schedule for the same
+    ``(master_seed, index)``.
     """
     rng = np.random.default_rng((master_seed, index))
     pool = FABRIC_NAMES if fabrics is None else tuple(fabrics)
@@ -206,16 +198,6 @@ def build_trial(
             link_max_retries=int(rng.integers(1, 5)),
             feature_corrupt_rate=float(rng.uniform(0.0, 0.1)),
         )
-    online_config = None
-    if online and rng.random() < 0.8:
-        online_config = OnlineConfig(
-            lam=10.0 ** float(rng.integers(-3, 2)),
-            forgetting=float(rng.choice([1.0, 0.999, 0.99, 0.95])),
-            warmup_updates=int(rng.integers(1, 6)),
-            drift_threshold=float(rng.choice([0.0, 2.0, 4.0])),
-            drift_action=str(rng.choice(["none", "reset", "fallback"])),
-            drift_window=int(rng.integers(4, 40)),
-        )
     return FuzzTrial(
         index=index,
         master_seed=master_seed,
@@ -223,7 +205,6 @@ def build_trial(
         trace=trace,
         weights=weights,
         faults=fault_config,
-        online=online_config,
     )
 
 
@@ -245,7 +226,6 @@ def run_fuzz(
     replay: int | None = None,
     progress: Callable[[str], None] | None = None,
     faults: bool = False,
-    online: bool = False,
     backend_differential: bool = False,
     fabrics: tuple[str, ...] | None = None,
 ) -> FuzzReport:
@@ -271,11 +251,6 @@ def run_fuzz(
         Draw a random :class:`FaultConfig` per trial and inject it into
         every leg — the differential then also proves the graceful
         degradation paths are deterministic and cache-safe.
-    online:
-        Draw a random :class:`OnlineConfig` per trial for the ML
-        policies — the differential then also proves per-epoch online
-        learning (including drift resets and fallbacks) is deterministic
-        and cache-safe.
     backend_differential:
         Re-run every clean serial task on the array kernel
         (``backend="array"``) and require identical ``ModelMetrics`` —
@@ -291,8 +266,7 @@ def run_fuzz(
     with tempfile.TemporaryDirectory(prefix="fuzz-runcache-") as tmp:
         cache = RunCache(Path(tmp))
         for index in indices:
-            trial = build_trial(seed, index, faults=faults, online=online,
-                                fabrics=fabrics)
+            trial = build_trial(seed, index, faults=faults, fabrics=fabrics)
             report.trials_run += 1
             ok_serial = _serial_leg(trial, report, artifact_dir)
             if ok_serial:
@@ -344,7 +318,7 @@ def _serial_leg(
         try:
             result = Simulator(
                 trial.config, trial.trace, policy, audit=auditor,
-                faults=trial.faults, online=trial.online_for(policy_name),
+                faults=trial.faults,
             ).run()
         except AuditError as err:
             report.failures.append(
@@ -365,7 +339,6 @@ def _serial_leg(
             weights=weights,
             audit=True,
             faults=trial.faults,
-            online=trial.online_for(policy_name),
         )
         ok[policy_name] = (task, ModelMetrics.from_result(result))
     return ok
@@ -395,10 +368,6 @@ def _record_mismatch(
             "faults": (
                 None if trial.faults is None
                 else dataclasses.asdict(trial.faults)
-            ),
-            "online": (
-                None if trial.online is None
-                else dataclasses.asdict(trial.online)
             ),
             "expected": dataclasses.asdict(expected),
             "got": dataclasses.asdict(got),
@@ -455,7 +424,7 @@ def _backend_leg(
         try:
             result = ArraySimulator(
                 array_config, trial.trace, policy, audit=auditor,
-                faults=trial.faults, online=trial.online_for(policy_name),
+                faults=trial.faults,
             ).run()
         except AuditError as err:
             report.failures.append(

@@ -25,10 +25,7 @@ principles at every epoch boundary and at end-of-run and raises
   the watchdog or still pending, VR aborts/safe-modes and corrupted
   features agree, and a proactive DVFS policy falls back to the
   threshold rule exactly once per corrupted feature vector that reached
-  a proactive decision (the *fault* fallback lane); fallbacks on the
-  separate *online* lane — every decision after an online-RLS
-  divergence exposes all-NaN weights — are bounded against the
-  model-lifecycle ledger instead (they require a recorded divergence),
+  a proactive decision,
 * **residency conservation** — after the end-of-run flush, every router's
   gated + per-mode tick residency tiles the run exactly, and the energy
   accountant's wall-clock view agrees,
@@ -298,40 +295,12 @@ class InvariantAuditor:
     def _check_fault_accounting(self, sim: "Simulator") -> None:
         stats = sim.stats
         faults = sim._faults
-        policy = sim.policy
-        # The online fallback lane is not fault-driven: after an
-        # online-RLS divergence the learner exposes all-NaN weights and
-        # *every* subsequent proactive decision degrades to the reactive
-        # threshold rule, with or without a fault scheduler attached.
-        # Bound it against the model-lifecycle ledger instead of the
-        # fault ledger.
-        if stats.predictor_fallbacks_online != 0:
-            if sim.online is None:
-                self._fail(
-                    sim, "fault-accounting",
-                    f"online-lane predictor fallbacks recorded "
-                    f"({stats.predictor_fallbacks_online}) without an "
-                    f"online learner attached",
-                )
-            if stats.online_divergences == 0:
-                self._fail(
-                    sim, "fault-accounting",
-                    f"online-lane predictor fallbacks recorded "
-                    f"({stats.predictor_fallbacks_online}) but the online "
-                    f"learner never diverged",
-                )
-        if not policy.uses_dvfs and stats.predictor_fallbacks != 0:
-            self._fail(
-                sim, "fault-accounting",
-                f"policy without DVFS recorded "
-                f"{stats.predictor_fallbacks} predictor fallbacks",
-            )
         if faults is None:
             for name in (
                 "link_faults", "flits_retransmitted", "forced_wakes",
                 "vr_switch_aborts", "vr_safe_mode_entries",
                 "features_corrupted", "features_corrupted_predicting",
-                "predictor_fallbacks_fault",
+                "predictor_fallbacks",
             ):
                 if getattr(stats, name) != 0:
                     self._fail(
@@ -372,14 +341,12 @@ class InvariantAuditor:
                 f"force-wakes ({stats.forced_wakes}) + still pending "
                 f"({pending_stuck})",
             )
-        # Fault lane, checked exactly: every corrupted vector that
-        # reached a proactive DVFS decision poisons exactly one dot
-        # product (NaN/inf propagate through any weights) and must trip
-        # exactly one fault-lane fallback.  Corrupted vectors consumed
-        # by a *reactive* epoch (online warmup without warm-start
-        # weights, drift fallback) legitimately trip none — they are
-        # excluded from ``features_corrupted_predicting`` at the
-        # corruption site.
+        # Checked exactly: every corrupted vector that reached a
+        # proactive DVFS decision poisons exactly one dot product
+        # (NaN/inf propagate through any weights) and must trip exactly
+        # one fallback.  Corrupted vectors consumed by a *reactive*
+        # epoch legitimately trip none — they are excluded from
+        # ``features_corrupted_predicting`` at the corruption site.
         if stats.features_corrupted_predicting > stats.features_corrupted:
             self._fail(
                 sim, "fault-accounting",
@@ -387,10 +354,10 @@ class InvariantAuditor:
                 f"({stats.features_corrupted_predicting}) exceeds total "
                 f"corrupted vectors ({stats.features_corrupted})",
             )
-        if stats.predictor_fallbacks_fault != stats.features_corrupted_predicting:
+        if stats.predictor_fallbacks != stats.features_corrupted_predicting:
             self._fail(
                 sim, "fault-accounting",
-                f"{stats.predictor_fallbacks_fault} fault-lane threshold "
+                f"{stats.predictor_fallbacks} threshold "
                 f"fallbacks for {stats.features_corrupted_predicting} "
                 f"corrupted feature vectors that reached a proactive "
                 f"decision ({stats.features_corrupted} corrupted in total)",
@@ -596,8 +563,6 @@ class InvariantAuditor:
                 "features_corrupted_predicting":
                     stats.features_corrupted_predicting,
                 "predictor_fallbacks": stats.predictor_fallbacks,
-                "predictor_fallbacks_fault": stats.predictor_fallbacks_fault,
-                "predictor_fallbacks_online": stats.predictor_fallbacks_online,
             },
             "faults": (
                 None if sim._faults is None

@@ -64,7 +64,7 @@ def golden_cases() -> list[dict]:
         name: str, policy: str, benchmark: str,
         switching: str = "vct", weights: tuple | None = None,
         duration_ns: float = 600.0, seed: int = 0,
-        online: dict | None = None, substrate: dict = _MESH4,
+        substrate: dict = _MESH4,
     ) -> None:
         entry = {
             "id": name,
@@ -75,10 +75,6 @@ def golden_cases() -> list[dict]:
             "policy": policy,
             "weights": weights,
         }
-        if online is not None:
-            # Only online cases carry the key: pre-existing golden files
-            # must stay byte-identical.
-            entry["online"] = online
         cases.append(entry)
 
     # Every policy, reactive, on one trace (the mode-ladder spread).
@@ -98,10 +94,6 @@ def golden_cases() -> list[dict]:
          switching="wormhole")
     case("mesh4-vct-canneal-dozznoc-proactive", "dozznoc", "canneal",
          weights=PROACTIVE_WEIGHTS)
-    # Online learning: warm-started RLS evolves the weights per epoch.
-    case("mesh4-vct-canneal-dozznoc-online", "dozznoc", "canneal",
-         weights=PROACTIVE_WEIGHTS,
-         online={"lam": 0.01, "forgetting": 0.99, "warmup_updates": 4})
     return cases
 
 
@@ -118,28 +110,14 @@ def compute_fingerprint(case: dict) -> dict:
         None if case["weights"] is None
         else np.asarray(case["weights"], dtype=float)
     )
-    online = None
-    if case.get("online") is not None:
-        from repro.models import OnlineConfig
-
-        online = OnlineConfig(**case["online"])
     result = run_simulation(
-        config, trace, make_policy(case["policy"], weights=weights),
-        online=online,
+        config, trace, make_policy(case["policy"], weights=weights)
     )
     fingerprint = {
         "case": {k: v for k, v in case.items() if k != "id"},
         "drained": bool(result.drained),
         "summary": {k: result.summary()[k] for k in sorted(result.summary())},
     }
-    if online is not None:
-        # The online ledger rides along only for online cases, so the
-        # pre-existing golden files stay byte-identical.
-        fingerprint["online_ledger"] = {
-            "online_updates": result.stats.online_updates,
-            "online_divergences": result.stats.online_divergences,
-            "drift_alerts": result.stats.drift_alerts,
-        }
     # Normalize through JSON so in-memory and reloaded fingerprints
     # compare with plain ==.  repr-based float serialization makes this
     # lossless — equality stays exact, not approximate.

@@ -78,10 +78,7 @@ MUTATIONS = [
      lambda sim: setattr(sim.stats, "forced_wakes", 1),
      "fault-accounting"),
     ("phantom-fault-lane-fallback",
-     lambda sim: setattr(sim.stats, "predictor_fallbacks_fault", 1),
-     "fault-accounting"),
-    ("phantom-online-lane-fallback",
-     lambda sim: setattr(sim.stats, "predictor_fallbacks_online", 1),
+     lambda sim: setattr(sim.stats, "predictor_fallbacks", 1),
      "fault-accounting"),
     ("firing-scheduled-in-past",
      lambda sim: setattr(sim.network.routers[0], "next_event_tick",
@@ -141,17 +138,16 @@ def test_fault_scheduler_ledger_mismatch_is_caught():
 
 
 def test_fault_lane_fallback_check_still_bites_with_scheduler():
-    """Splitting predictor fallbacks by cause must not blunt the fault
-    lane: with injection active, drifting the fault-lane counter away
-    from the corrupted-while-predicting tally is still caught exactly."""
+    """With injection active, drifting the fallback counter away from
+    the corrupted-while-predicting tally is caught exactly."""
     sim = _finished_sim("dozznoc", faults=FaultConfig.moderate(seed=1))
     auditor = InvariantAuditor()
     auditor.on_end(sim, drained=True)  # clean ledger passes first
-    sim.stats.predictor_fallbacks_fault += 1
+    sim.stats.predictor_fallbacks += 1
     with pytest.raises(AuditError) as excinfo:
         auditor.on_end(sim, drained=True)
     assert excinfo.value.check == "fault-accounting"
-    assert "fault-lane" in str(excinfo.value) or "fallback" in str(excinfo.value)
+    assert "fallback" in str(excinfo.value)
 
 
 def test_corrupted_predicting_cannot_exceed_corrupted():

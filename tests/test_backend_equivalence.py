@@ -11,7 +11,7 @@ it here:
    two layers together pin both kernels to the same committed bytes),
 2. the fuzzer's deterministic trial generator (a fixed slice of the same
    schedule the ``--differential-backend`` CLI leg samples), including
-   fault-injection and online-learning legs,
+   a fault-injection leg,
 3. hypothesis-driven random small configs, where the *shape* of the
    config (topology, flit sizes, buffer depth, epoch length, switching)
    is the fuzzed surface,
@@ -70,24 +70,18 @@ def test_object_backend_matches_committed_golden(case):
     got = compute_fingerprint(arr_case)
     assert got["drained"] == committed["drained"]
     assert got["summary"] == committed["summary"]
-    if "online_ledger" in committed:
-        assert got["online_ledger"] == committed["online_ledger"]
 
 
 # --------------------------------------------------------------------- #
 # Layer 2: fuzzer trials (same generator as --differential-backend)
 # --------------------------------------------------------------------- #
 
-def _run_both(config, trace, policy_name, weights=None, faults=None,
-              online=None):
+def _run_both(config, trace, policy_name, weights=None, faults=None):
     policy_obj = make_policy(policy_name, weights=weights)
-    ref = Simulator(
-        config, trace, policy_obj, faults=faults, online=online
-    ).run()
+    ref = Simulator(config, trace, policy_obj, faults=faults).run()
     policy_arr = make_policy(policy_name, weights=weights)
     got = ArraySimulator(
-        config.with_(backend="array"), trace, policy_arr,
-        faults=faults, online=online,
+        config.with_(backend="array"), trace, policy_arr, faults=faults,
     ).run()
     return ref, got
 
@@ -103,18 +97,15 @@ def _assert_equal(ref, got, label):
 
 
 @pytest.mark.parametrize("index", range(6))
-@pytest.mark.parametrize("leg", ["plain", "faults", "online"])
+@pytest.mark.parametrize("leg", ["plain", "faults"])
 def test_fuzz_trials_equivalent(index, leg):
     """A fixed slice of the fuzz schedule, all policies, both kernels."""
-    trial = build_trial(
-        1234, index, faults=(leg == "faults"), online=(leg == "online")
-    )
+    trial = build_trial(1234, index, faults=(leg == "faults"))
     for policy_name in MODEL_NAMES:
         ref, got = _run_both(
             trial.config, trial.trace, policy_name,
             weights=trial.weights_for(policy_name),
             faults=trial.faults,
-            online=trial.online_for(policy_name),
         )
         _assert_equal(ref, got, f"trial {index}/{leg}/{policy_name}")
 

@@ -227,24 +227,32 @@ class TestLinkFaults:
 
 
 class TestFeatureCorruption:
-    def test_proactive_policy_falls_back_per_corruption(self):
+    @pytest.mark.parametrize("backend", ("object", "array"))
+    def test_proactive_policy_falls_back_per_corruption(self, backend):
         faults = FaultConfig(seed=9, feature_corrupt_rate=0.5)
         result = run_simulation(
-            SIM, _trace(), make_policy("dozznoc", weights=WEIGHTS),
+            SIM.with_(backend=backend), _trace(),
+            make_policy("dozznoc", weights=WEIGHTS),
             audit=True, faults=faults,
         )
         assert result.drained
         stats = result.stats
         assert stats.features_corrupted > 0
         assert stats.predictor_fallbacks == stats.features_corrupted
+        assert stats.features_corrupted_predicting == stats.features_corrupted
 
-    def test_reactive_policy_never_falls_back(self):
+    @pytest.mark.parametrize("backend", ("object", "array"))
+    def test_reactive_policy_never_falls_back(self, backend):
+        """A corrupted vector consumed by a reactive epoch trips no
+        fallback, and the run still audits clean."""
         faults = FaultConfig(seed=9, feature_corrupt_rate=0.5)
         result = run_simulation(
-            SIM, _trace(), make_policy("dozznoc"),  # reactive: no weights
+            SIM.with_(backend=backend), _trace(),
+            make_policy("dozznoc"),  # reactive: no weights
             collect_features=True, audit=True, faults=faults,
         )
         assert result.stats.features_corrupted > 0
+        assert result.stats.features_corrupted_predicting == 0
         assert result.stats.predictor_fallbacks == 0
 
 

@@ -193,14 +193,18 @@ class TestRegistryAndSelection:
         """Each bench links to the registry via EXPERIMENT_IDS.
 
         Parsed statically (the bench files import their own conftest),
-        so this holds without running the benchmark harness.
+        so this holds without running the benchmark harness.  Each file
+        is also compiled: ``ast.parse`` accepts a ``from __future__``
+        import placed after other statements, the compiler does not.
         """
         import ast
 
         bench_dir = Path(__file__).resolve().parent.parent / "benchmarks"
         declared = {}
         for path in sorted(bench_dir.glob("bench_*.py")):
-            tree = ast.parse(path.read_text())
+            source = path.read_text()
+            compile(source, str(path), "exec")
+            tree = ast.parse(source)
             ids = None
             for node in tree.body:
                 if (isinstance(node, ast.Assign)

@@ -84,40 +84,6 @@ class TestRunFuzz:
         assert sum("trial 1" in line for line in lines) >= 1
 
 
-class TestCombinedFaultsOnlineRegression:
-    """Replay of the historical ``--faults --online`` false positive.
-
-    Seed 7 trial 1 draws an ML trial with online learning but *no*
-    offline weights: the policy starts its run reactive (online warmup,
-    nothing to warm-start from), a fault-scheduler-corrupted feature
-    vector is consumed by a reactive epoch, and the policy only later
-    turns proactive.  The old fault-accounting law demanded one
-    threshold fallback per corrupted vector regardless of what kind of
-    epoch consumed it, so this clean trial tripped a false
-    ``fault-accounting`` violation on the serial leg.  The law now
-    tracks corrupted-while-predicting exactly; this replay must stay
-    clean forever.
-    """
-
-    def test_seed7_trial1_replays_clean(self, tmp_path):
-        report = run_fuzz(
-            trials=2, seed=7, jobs=1, artifact_dir=tmp_path,
-            replay=1, faults=True, online=True,
-        )
-        assert report.trials_run == 1
-        assert report.failures == []
-        assert report.ok
-        assert not list(tmp_path.glob("*.json"))  # no repro artifacts
-
-    def test_seed7_trial1_clean_under_backend_differential(self, tmp_path):
-        report = run_fuzz(
-            trials=2, seed=7, jobs=1, artifact_dir=tmp_path,
-            replay=1, faults=True, online=True, backend_differential=True,
-        )
-        assert report.ok
-        assert report.failures == []
-
-
 class TestFuzzCli:
     def test_cli_exit_zero_on_clean(self, tmp_path, capsys):
         rc = main(

@@ -97,7 +97,7 @@ def test_simulator_imports_are_all_versioned():
 
 def test_fixpoint_is_strictly_deeper_than_one_level():
     # Guard the guard: the fixpoint must see modules a one-level scan
-    # misses (e.g. repro.models.store, reached only via the registry).
+    # misses (e.g. repro.common.rng, reached only via the fault scheduler).
     level1 = _module_imports("repro.noc.simulator")
     shallow = {"repro.noc.simulator"} | set(level1)
     for module in sorted(level1):
