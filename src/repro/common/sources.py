@@ -2,7 +2,9 @@
 
 The run cache (:mod:`repro.exec.cache`) and the experiment memo
 (:mod:`repro.experiments.artifact`) key their entries by a digest of the
-source files that can change a result.  Reading those files by path keeps
+source files that can change a result: the kernel's for runs and
+captures, the traffic generator's for suites, the recorder's (with the
+kernel's) for telemetry counters.  Reading those files by path keeps
 the digests free of numpy and of the kernel, so a warm ``repro-all``
 computes every memo key without importing the simulator.
 """
@@ -49,6 +51,24 @@ _VERSIONED_MODULES: tuple[str, ...] = (
     "repro.traffic.trace",
 )
 
+#: Modules whose source determines a generated benchmark trace:
+#: everything :func:`repro.traffic.benchmarks.generate_benchmark_trace`
+#: imports, transitively.  Suite cache entries hash these instead of
+#: ``_VERSIONED_MODULES``, so a kernel edit keeps every cached suite.
+_TRAFFIC_MODULES: tuple[str, ...] = (
+    "repro.common.errors",
+    "repro.common.rng",
+    "repro.traffic.benchmarks",
+    "repro.traffic.trace",
+)
+
+#: The telemetry recorder's modules outside ``_VERSIONED_MODULES``; a
+#: telemetry cache entry hashes these on top of its run's key.
+_TELEMETRY_MODULES: tuple[str, ...] = (
+    "repro.telemetry.metrics",
+    "repro.telemetry.recorder",
+)
+
 
 def hash_sources(h: "hashlib._Hash", names: tuple[str, ...]) -> None:
     """Feed each module's dotted name, then its source bytes, into ``h``.
@@ -65,9 +85,24 @@ def hash_sources(h: "hashlib._Hash", names: tuple[str, ...]) -> None:
         h.update(path.read_bytes())
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=None)
+def source_digest(names: tuple[str, ...]) -> str:
+    """Short digest of the sources of ``names`` (see :func:`hash_sources`)."""
+    h = hashlib.sha256()
+    hash_sources(h, names)
+    return h.hexdigest()[:16]
+
+
 def code_version() -> str:
     """Digest of every simulation-relevant source file."""
-    h = hashlib.sha256()
-    hash_sources(h, _VERSIONED_MODULES)
-    return h.hexdigest()[:16]
+    return source_digest(_VERSIONED_MODULES)
+
+
+def traffic_version() -> str:
+    """Digest of the benchmark-trace generator's source files."""
+    return source_digest(_TRAFFIC_MODULES)
+
+
+def telemetry_version() -> str:
+    """Digest of the telemetry recorder's own source files."""
+    return source_digest(_TELEMETRY_MODULES)

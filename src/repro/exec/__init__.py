@@ -11,7 +11,8 @@ resumable:
 * :mod:`repro.exec.cache` — a content-addressed on-disk cache of
   simulation results and reactive training captures keyed by config,
   trace content, policy, weights and code version, so re-running a
-  campaign only simulates what changed,
+  campaign only simulates what changed (plus the benchmark suites and
+  the telemetry experiment's counters those runs read and report),
 * :mod:`repro.exec.journal` — a crash-safe checkpoint of finished task
   keys, so a killed campaign reports how much work it resumed.
 """

@@ -1,17 +1,21 @@
 """Content-addressed on-disk cache for simulation results.
 
 Mirrors what :func:`repro.exec.pool.run_train_tasks` does for trained
-weights, but for *simulation runs*.  A :class:`RunCache` stores two
-entry kinds, each under its own file prefix and key:
+weights, but for *simulation runs* and what they read.  A
+:class:`RunCache` stores four entry kinds, each under its own file
+prefix and key:
 
 * ``run`` — one :class:`~repro.experiments.runner.ModelMetrics` per
   evaluation run (JSON),
 * ``capture`` — the reactive training captures of one (policy, config,
   feature set, training set), one ``(X, y)`` dataset per trace
-  (``.npz``; see :func:`capture_key`).
+  (``.npz``; see :func:`capture_key`),
+* ``suite`` — one plain 14-trace benchmark suite, every trace's columns
+  and name (``.npz``; see :func:`suite_key`),
+* ``telemetry`` — the counters and drain flag of one telemetry-recorded
+  run (JSON; see :func:`telemetry_key`).
 
-Both are keyed by a stable hash of everything that determines the
-run's outcome:
+Run and capture keys hash everything that determines the run's outcome:
 
 * the full :class:`~repro.common.config.SimConfig` (every field except the
   non-semantic ``extra`` dict),
@@ -22,10 +26,14 @@ run's outcome:
   a simulation's outcome, so editing the kernel invalidates old results,
 * a schema version for the serialized payload itself.
 
+A suite key hashes only its recipe and the traffic generator's sources,
+so a kernel edit keeps every suite; a telemetry key is its run's key
+plus the recorder's sources.
+
 Entries are written atomically (temp file + rename).  A read validates
 the schema, the embedded key, and the payload's fields; anything
 corrupted, truncated, or stale is **discarded, never trusted** — the run
-is simply re-simulated.
+is simply re-simulated (or the suite regenerated).
 """
 
 from __future__ import annotations
@@ -44,9 +52,16 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.common.config import SimConfig
+from repro.common.errors import TrafficError
 # The code-version digest reads module sources by path (see
 # repro.common.sources); both names stay importable from here.
-from repro.common.sources import _VERSIONED_MODULES, code_version  # noqa: F401
+from repro.common.sources import (  # noqa: F401
+    _VERSIONED_MODULES,
+    code_version,
+    telemetry_version,
+    traffic_version,
+)
+from repro.traffic.suite import SUITE_ORDER
 from repro.traffic.trace import Trace, trace_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - avoids an exec<->experiments cycle
@@ -157,6 +172,48 @@ def capture_key(
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:24]
 
 
+def suite_key(num_cores: int, duration_ns: float, seed: int) -> str:
+    """The content address of one plain 14-trace suite.
+
+    A generated trace depends only on its recipe and the traffic
+    generator's sources, so the key hashes :func:`traffic_version`, not
+    :func:`code_version`: editing the kernel keeps every cached suite.
+    """
+    parts = [
+        f"schema={SCHEMA_VERSION}",
+        f"traffic={traffic_version()}",
+        "kind=suite",
+        f"recipe={int(num_cores)},{float(duration_ns)!r},{int(seed)}",
+    ]
+    return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:24]
+
+
+def telemetry_key(run: str) -> str:
+    """The content address of one telemetry-recorded run's counters.
+
+    ``run`` is the run's :func:`run_key`; the recorder's own sources
+    join it, since they decide which counters a run reports.
+    """
+    parts = [
+        f"schema={SCHEMA_VERSION}",
+        f"telemetry={telemetry_version()}",
+        "kind=telemetry",
+        f"run={run}",
+    ]
+    return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:24]
+
+
+def _check_header(payload, key: str, **stamps: str) -> None:
+    """Raise unless an entry's schema, key and source stamps are current."""
+    if int(payload["schema"]) != SCHEMA_VERSION:
+        raise ValueError(f"schema mismatch: {payload['schema']!r}")
+    if str(payload["key"]) != key:
+        raise ValueError("cache entry key does not match its address")
+    for name, current in stamps.items():
+        if str(payload[name]) != current:
+            raise ValueError(f"cache entry predates the current {name}")
+
+
 def _metrics_to_payload(key: str, metrics: "ModelMetrics") -> dict:
     data = dataclasses.asdict(metrics)
     data["mode_distribution"] = {
@@ -177,10 +234,7 @@ def _metrics_from_payload(key: str, payload: dict) -> "ModelMetrics":
     """Rebuild metrics from a cache payload; raises on any inconsistency."""
     from repro.experiments.runner import ModelMetrics
 
-    if payload.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"schema mismatch: {payload.get('schema')!r}")
-    if payload.get("key") != key:
-        raise ValueError("cache entry key does not match its address")
+    _check_header(payload, key)
     data = dict(payload["metrics"])
     if set(data) != set(_metric_fields()):
         raise ValueError(f"metric fields mismatch: {sorted(data)}")
@@ -219,12 +273,7 @@ def _decode_capture(key: str, data: bytes) -> Captures:
     """Rebuild one capture entry; raises on any inconsistency."""
     captures: Captures = {}
     with np.load(io.BytesIO(data), allow_pickle=False) as entry:
-        if int(entry["schema"]) != SCHEMA_VERSION:
-            raise ValueError(f"schema mismatch: {entry['schema']!r}")
-        if str(entry["key"]) != key:
-            raise ValueError("cache entry key does not match its address")
-        if str(entry["code"]) != code_version():
-            raise ValueError("cache entry predates the current code")
+        _check_header(entry, key, code=code_version())
         for name in entry.files:
             if name.startswith("x_"):
                 x, y = entry[name], entry[f"y_{name[2:]}"]
@@ -236,10 +285,75 @@ def _decode_capture(key: str, data: bytes) -> Captures:
     return captures
 
 
+#: Column -> dtype of every trace in a suite entry (as generated).
+_TRACE_COLUMNS = {
+    "src": np.int32, "dst": np.int32, "kind": np.uint8, "t_ns": np.float64,
+}
+
+
+def _encode_suite(key: str, traces: tuple[Trace, ...]) -> bytes:
+    members = {
+        f"{column}_{i}": getattr(trace, column)
+        for i, trace in enumerate(traces)
+        for column in _TRACE_COLUMNS
+    }
+    buf = io.BytesIO()
+    np.savez(buf, schema=SCHEMA_VERSION, key=key, traffic=traffic_version(),
+             num_cores=traces[0].num_cores,
+             names=np.array([t.name for t in traces]), **members)
+    return buf.getvalue()
+
+
+def _decode_suite(key: str, data: bytes) -> tuple[Trace, ...]:
+    """Rebuild one suite entry's traces, in ``SUITE_ORDER``; raises on any
+    inconsistency (every trace is re-validated by :class:`Trace`)."""
+    with np.load(io.BytesIO(data), allow_pickle=False) as entry:
+        _check_header(entry, key, traffic=traffic_version())
+        names = tuple(str(name) for name in entry["names"])
+        if names != SUITE_ORDER:
+            raise ValueError(f"suite names mismatch: {names}")
+        num_cores = int(entry["num_cores"])
+        traces = []
+        for i, name in enumerate(names):
+            columns = {c: entry[f"{c}_{i}"] for c in _TRACE_COLUMNS}
+            for column, dtype in _TRACE_COLUMNS.items():
+                if columns[column].dtype != dtype:
+                    raise ValueError(
+                        f"{name}.{column} dtype mismatch: "
+                        f"{columns[column].dtype}"
+                    )
+            traces.append(Trace(**columns, num_cores=num_cores, name=name))
+    return tuple(traces)
+
+
+#: A telemetry entry: sorted counter name -> value, and whether the run
+#: drained.
+Telemetry = tuple[dict[str, int], bool]
+
+
+def _encode_telemetry(key: str, value: Telemetry) -> bytes:
+    counters, drained = value
+    return json.dumps({"schema": SCHEMA_VERSION, "key": key,
+                       "counters": counters, "drained": drained}).encode()
+
+
+def _decode_telemetry(key: str, data: bytes) -> Telemetry:
+    """Rebuild one telemetry entry; raises on any inconsistency."""
+    payload = json.loads(data)
+    _check_header(payload, key)
+    counters, drained = payload["counters"], payload["drained"]
+    if not isinstance(counters, dict) or not isinstance(drained, bool) \
+            or not all(type(value) is int for value in counters.values()):
+        raise ValueError("telemetry entry fields mismatch")
+    return counters, drained
+
+
 #: Entry kind -> (file suffix, encoder, decoder).
 _KINDS = {
     "run": ("json", _encode_run, _decode_run),
     "capture": ("npz", _encode_capture, _decode_capture),
+    "suite": ("npz", _encode_suite, _decode_suite),
+    "telemetry": ("json", _encode_telemetry, _decode_telemetry),
 }
 
 
@@ -253,7 +367,8 @@ class RunCache:
         entry, named ``<kind>-<key>.<suffix>``: ``run-<key>.json`` holds
         a :class:`ModelMetrics`, ``capture-<key>.npz`` the training
         captures of one (policy, config, feature set, training set),
-        per trace.
+        per trace, ``suite-<key>.npz`` one plain benchmark suite and
+        ``telemetry-<key>.json`` one recorded run's counters.
     """
 
     def __init__(self, cache_dir: str | Path) -> None:
@@ -274,7 +389,7 @@ class RunCache:
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (ValueError, KeyError, TypeError, OSError,
+        except (ValueError, KeyError, TypeError, OSError, TrafficError,
                 zipfile.BadZipFile, EOFError):
             # Corrupted / truncated / wrong-schema entry: do not trust it.
             self.discarded += 1

@@ -49,7 +49,7 @@ from repro.experiments.runner import (
 )
 from repro.faults import FaultConfig
 from repro.ml.training import DEFAULT_LAMBDAS
-from repro.traffic.suite import TraceSuite, build_suite
+from repro.traffic.suite import TraceSuite, suite_for
 
 #: Which models need a trained predictor.
 ML_MODELS: tuple[str, ...] = ("lead", "dozznoc", "turbo")
@@ -298,12 +298,7 @@ def prepare_campaign(
     jobs = campaign.jobs if jobs is None else jobs
 
     with _phase(recorder, "build_suite"):
-        suite = build_suite(
-            num_cores=campaign.sim.num_cores,
-            duration_ns=campaign.duration_ns,
-            seed=campaign.seed,
-            compressed=campaign.compressed,
-        )
+        suite = suite_for(campaign, campaign.compressed)
     with _phase(recorder, "train"):
         weights = train_ml_models(suite, campaign, jobs=jobs)
 

@@ -39,7 +39,7 @@ from repro.ml.ridge import fit_ridge
 from repro.ml.training import stack_dataset
 from repro.regulator.efficiency import EfficiencyComparison, compare_efficiency
 from repro.regulator.ldo import LdoModel, LdoTransient
-from repro.traffic.suite import build_suite
+from repro.traffic.suite import suite_for
 
 
 # ---------------------------------------------------------------------- #
@@ -169,11 +169,7 @@ def fig9_feature_accuracy(scale: EvalScale | None = None) -> list[FeatureAccurac
     cache) and sliced per feature.
     """
     scale = scale or EvalScale()
-    suite = build_suite(
-        num_cores=scale.sim.num_cores,
-        duration_ns=scale.duration_ns,
-        seed=scale.seed,
-    )
+    suite = suite_for(scale)
     sets = [single_feature_set(f) for f in SINGLE_FEATURE_CANDIDATES]
     group = training_set_group(suite.train)
     captures = iter(run_capture_tasks(
@@ -228,11 +224,7 @@ def epoch_size_sweep(
     out over ``scale.jobs`` workers and caches under ``scale.cache_dir``.
     """
     scale = scale or EvalScale()
-    suite = build_suite(
-        num_cores=scale.sim.num_cores,
-        duration_ns=scale.duration_ns,
-        seed=scale.seed,
-    )
+    suite = suite_for(scale)
     tasks = [
         TrainTask(
             policy="dozznoc",
@@ -281,11 +273,7 @@ def t_idle_sweep(
     reactive DozzNoC model on one test trace per threshold.
     """
     scale = scale or EvalScale()
-    suite = build_suite(
-        num_cores=scale.sim.num_cores,
-        duration_ns=scale.duration_ns,
-        seed=scale.seed,
-    )
+    suite = suite_for(scale)
     trace = suite.test[benchmark_index]
     from repro.experiments.runner import normalize_to_baseline
 
@@ -338,11 +326,7 @@ def buffer_depth_sweep(
     baseline *at the same depth*.
     """
     scale = scale or EvalScale()
-    suite = build_suite(
-        num_cores=scale.sim.num_cores,
-        duration_ns=scale.duration_ns,
-        seed=scale.seed,
-    )
+    suite = suite_for(scale)
     trace = suite.test[benchmark_index]
     from repro.experiments.runner import normalize_to_baseline
 
@@ -398,11 +382,7 @@ def mode_ladder_ablation(
     design over a simpler two-level scheme.
     """
     scale = scale or EvalScale()
-    suite = build_suite(
-        num_cores=scale.sim.num_cores,
-        duration_ns=scale.duration_ns,
-        seed=scale.seed,
-    )
+    suite = suite_for(scale)
     trace = suite.test[benchmark_index]
     from repro.experiments.runner import normalize_to_baseline
 

@@ -460,7 +460,7 @@ def _build_feature_ablation(ctx: ReproContext) -> dict:
 
 def _build_tidle(ctx: ReproContext) -> dict:
     from repro.exec.pool import SimTask, run_sim_tasks
-    from repro.traffic.suite import build_suite
+    from repro.traffic.suite import suite_for
 
     from repro.experiments.figures import t_idle_sweep
 
@@ -474,11 +474,7 @@ def _build_tidle(ctx: ReproContext) -> dict:
     # to within rounding — the sweep's own baseline run (a cache hit when
     # a cache_dir is set, since t_idle_sweep just ran it) re-anchors the
     # expectations diff to absolute picojoules.
-    suite = build_suite(
-        num_cores=ctx.scale.sim.num_cores,
-        duration_ns=ctx.scale.duration_ns,
-        seed=ctx.scale.seed,
-    )
+    suite = suite_for(ctx.scale)
     trace = suite.test[1]  # t_idle_sweep's default benchmark_index
     (base,) = run_sim_tasks(
         [SimTask(policy="baseline", trace=trace, sim=ctx.scale.sim)],
@@ -593,29 +589,38 @@ def _build_faults(ctx: ReproContext) -> dict:
 
 
 def _build_telemetry(ctx: ReproContext) -> dict:
-    from repro.core.controller import make_policy
-    from repro.noc.simulator import run_simulation
-    from repro.telemetry import TelemetryRecorder
-    from repro.telemetry.metrics import Counter
-    from repro.traffic.suite import build_suite
+    from repro.core.features import REDUCED_FEATURES
+    from repro.exec.cache import run_key, telemetry_key
+    from repro.traffic.suite import suite_for
 
-    suite = build_suite(
-        num_cores=ctx.scale.sim.num_cores,
-        duration_ns=ctx.scale.duration_ns,
-        seed=ctx.scale.seed,
-    )
-    trace = suite.test[0]
-    recorder = TelemetryRecorder(series=False)
-    result = run_simulation(
-        ctx.scale.sim, trace, make_policy("dozznoc"), telemetry=recorder
-    )
-    counters = {
-        name: int(metric.value)
-        for name, metric in sorted(recorder.metrics.metrics.items())
-        if isinstance(metric, Counter)
-    }
+    trace = suite_for(ctx.scale).test[0]
+    sim = ctx.scale.sim
+    cache = ctx.run_cache()
+    key = telemetry_key(run_key("dozznoc", trace, sim, None,
+                                REDUCED_FEATURES.names, REDUCED_FEATURES.name))
+    entry = None if cache is None else cache.get(key, "telemetry")
+    if entry is None:
+        from repro.core.controller import make_policy
+        from repro.noc.simulator import run_simulation
+        from repro.telemetry import TelemetryRecorder
+        from repro.telemetry.metrics import Counter
+
+        recorder = TelemetryRecorder(series=False)
+        result = run_simulation(sim, trace, make_policy("dozznoc"),
+                                telemetry=recorder)
+        entry = (
+            {
+                name: int(metric.value)
+                for name, metric in sorted(recorder.metrics.metrics.items())
+                if isinstance(metric, Counter)
+            },
+            bool(result.drained),
+        )
+        if cache is not None:
+            cache.put(key, entry, "telemetry")
+    counters, drained = entry
     return {
-        "headlines": {**counters, "drained": bool(result.drained)},
+        "headlines": {**counters, "drained": drained},
         "table": {
             "headers": ["counter", "value"],
             "rows": [[name, value] for name, value in counters.items()],

@@ -13,7 +13,8 @@ import pytest
 
 from repro.common.config import SimConfig
 from repro.core.controller import make_policy
-from repro.exec.cache import RunCache, code_version, run_key
+import repro.exec.cache as cache_mod
+from repro.exec.cache import RunCache, code_version, run_key, telemetry_key
 from repro.exec.pool import SimTask, run_sim_tasks
 from repro.experiments.runner import ModelMetrics
 from repro.noc.simulator import run_simulation
@@ -179,6 +180,40 @@ class TestRunCacheRoundTrip:
         got = cache.get(key)
         assert got.mode_distribution == {3: 0.25, 6: 0.75}
         assert all(isinstance(k, int) for k in got.mode_distribution)
+
+
+class TestTelemetryEntries:
+    def test_round_trip(self, tmp_path):
+        cache = RunCache(tmp_path)
+        key = telemetry_key(key_with())
+        entry = ({"a_total": 3, "b_total": 0}, True)
+        cache.put(key, entry, "telemetry")
+        assert cache.get(key, "telemetry") == entry
+        assert list(cache.get(key, "telemetry")[0]) == ["a_total", "b_total"]
+
+    def test_key_follows_run_and_recorder(self, monkeypatch):
+        base = telemetry_key(key_with())
+        assert base not in (key_with(), telemetry_key(key_with(policy="lead")))
+        monkeypatch.setattr(cache_mod, "telemetry_version",
+                            lambda: "edited-recorder-0")
+        assert telemetry_key(key_with()) != base
+
+    @pytest.mark.parametrize("field, value", [
+        ("counters", {"a_total": 1.5}),
+        ("counters", [1, 2]),
+        ("drained", 1),
+        ("key", "x" * 24),
+    ])
+    def test_inconsistent_entry_discarded(self, tmp_path, field, value):
+        cache = RunCache(tmp_path)
+        key = telemetry_key(key_with())
+        cache.put(key, ({"a_total": 3}, True), "telemetry")
+        path = cache.path_for(key, "telemetry")
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        assert cache.get(key, "telemetry") is None
+        assert cache.stats()["discarded"] == 1
 
 
 class TestRunSimTasksThroughCache:

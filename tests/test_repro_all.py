@@ -11,6 +11,7 @@ fully memoized and byte-identical) and compare ``--jobs 1`` against
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,41 @@ class TestResumeDeterminism:
             assert report.exit_code == 0
             trees.append(_tree(d / "out"))
         assert trees[0] == trees[1]
+
+    def test_edit_loop_rerun_generates_no_trace_and_runs_no_kernel(
+        self, tmp_path, monkeypatch
+    ):
+        """Over a filled run cache minus the memo, as after editing a
+        builder, the suites and the telemetry run are cache reads."""
+        import repro.exec.pool as pool
+        import repro.noc.simulator as simulator
+        import repro.traffic.suite as suite_mod
+
+        monkeypatch.setattr(suite_mod, "_MEMO", {})
+
+        def run(out: str):
+            return run_repro_all(
+                ReproOptions(
+                    scale="quick", jobs=1, cache_dir=tmp_path / "cache",
+                    out_dir=tmp_path / out, only=("telemetry", "tidle"),
+                ),
+                log=lambda line: None,
+            )
+
+        assert run("out-first").exit_code == 0
+        shutil.rmtree(tmp_path / "cache" / "experiments")
+        suite_mod._MEMO.clear()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the edit-loop rerun left the caches")
+
+        monkeypatch.setattr(suite_mod, "generate_benchmark_trace", forbidden)
+        monkeypatch.setattr(simulator, "run_simulation", forbidden)
+        monkeypatch.setattr(pool, "run_simulation", forbidden)
+        rerun = run("out")
+        assert rerun.exit_code == 0
+        assert sorted(rerun.computed) == ["telemetry", "tidle"]
+        assert _tree(tmp_path / "out") == _tree(tmp_path / "out-first")
 
 
 class TestPerturbationSentinel:

@@ -1,11 +1,13 @@
-"""The run cache's code-version digest must cover the whole kernel.
+"""The run cache's source digests must cover what they stand for.
 
 ``repro.exec.cache`` hashes the sources of ``_VERSIONED_MODULES`` into
-every cache key; a module that influences simulation results but is
-missing from that set lets stale cached metrics survive a kernel edit.
-This test statically extracts everything :mod:`repro.noc.simulator`
+every run and capture key; a module that influences simulation results
+but is missing from that set lets stale cached metrics survive a kernel
+edit.  This test statically extracts everything :mod:`repro.noc.simulator`
 imports — transitively, to a fixpoint — and asserts each module is in
-the versioned set.
+the versioned set.  Suite keys hash ``_TRAFFIC_MODULES`` and telemetry
+keys add ``_TELEMETRY_MODULES``; both get the same check against the
+trace generator and the telemetry recorder.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import ast
 import importlib.util
 from pathlib import Path
 
+from repro.common.sources import _TELEMETRY_MODULES, _TRAFFIC_MODULES
 from repro.exec.cache import _VERSIONED_MODULES, code_version
 
 
@@ -95,6 +98,25 @@ def test_simulator_imports_are_all_versioned():
     )
 
 
+def test_traffic_digest_covers_the_trace_generator():
+    reachable = _transitive_imports("repro.traffic.benchmarks")
+    missing = reachable - set(_TRAFFIC_MODULES)
+    assert not missing, (
+        f"modules the trace generator imports but the suite key does not "
+        f"hash (cached suites would survive edits to them): {sorted(missing)}"
+    )
+
+
+def test_telemetry_key_covers_the_recorder():
+    reachable = _transitive_imports("repro.telemetry.recorder")
+    assert "repro.telemetry.metrics" in reachable
+    missing = reachable - set(_TELEMETRY_MODULES) - set(_VERSIONED_MODULES)
+    assert not missing, (
+        f"modules the telemetry recorder imports but the telemetry key "
+        f"does not hash: {sorted(missing)}"
+    )
+
+
 def test_fixpoint_is_strictly_deeper_than_one_level():
     # Guard the guard: the fixpoint must see modules a one-level scan
     # misses (e.g. repro.common.rng, reached only via the fault scheduler).
@@ -111,7 +133,7 @@ def test_fixpoint_is_strictly_deeper_than_one_level():
 
 
 def test_versioned_modules_all_exist():
-    for name in _VERSIONED_MODULES:
+    for name in _VERSIONED_MODULES + _TRAFFIC_MODULES + _TELEMETRY_MODULES:
         assert _is_module(name), f"versioned module {name!r} does not exist"
 
 
