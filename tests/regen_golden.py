@@ -55,6 +55,19 @@ _RING3 = {
     "epoch_cycles": 100, "buffer_depth": 10,
 }
 
+#: The paper's second configuration at quick scale: a 2x2 concentrated
+#: mesh with four cores per router (``repro_all.cmesh_sim("quick")``).
+_CMESH2 = {
+    "topology": "cmesh", "radix": 2, "concentration": 4,
+    "epoch_cycles": 150,
+}
+
+#: The paper's 8x8 mesh at its 500-cycle epoch, for one short run.
+_MESH8 = {
+    "topology": "mesh", "radix": 8, "concentration": 1,
+    "epoch_cycles": 500,
+}
+
 
 def golden_cases() -> list[dict]:
     """The frozen config x trace x policy matrix (one dict per case)."""
@@ -88,6 +101,13 @@ def golden_cases() -> list[dict]:
              substrate=_TORUS4)
         case(f"ring3-vct-blackscholes-{policy}", policy, "blackscholes",
              substrate=_RING3)
+    # The paper's two configurations: the quick cmesh under the paper's
+    # three headline policies, and one short run at the 8x8 scale.
+    for policy in ("baseline", "pg", "dozznoc"):
+        case(f"cmesh2-vct-blackscholes-{policy}", policy, "blackscholes",
+             substrate=_CMESH2)
+    case("mesh8-vct-blackscholes-dozznoc", "dozznoc", "blackscholes",
+         substrate=_MESH8)
     # A second traffic pattern, wormhole switching, and the proactive path.
     case("mesh4-vct-canneal-dozznoc", "dozznoc", "canneal")
     case("mesh4-wormhole-canneal-dozznoc", "dozznoc", "canneal",
