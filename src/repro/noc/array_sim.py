@@ -6,17 +6,27 @@ results faster.  It layers two mechanisms on the object kernel:
 
 **Scheduler lanes (structure-of-arrays).**  The per-router quantities the
 scheduler consults every cycle — resident flits, outstanding
-reservations, the high-water output-busy tick, and per-port counts of
-FIFO heads wanting each output — are mirrored into flat, rid-indexed
-lanes maintained incrementally at the handful of mutation sites (commit,
-pop, reserve, inject).  The O(ports) scans in the object kernel's
-``is_idle`` / ejection / switch-allocation paths become O(1) lane reads.
+reservations, the high-water output-busy tick, and, per output port, a
+head-of-line bitmask of the input FIFOs whose head packet wants that
+output — are mirrored into rid-indexed lanes maintained incrementally at
+the handful of mutation sites (commit, pop, reserve, inject).  The
+O(ports) scans in the object kernel's ``is_idle`` / ejection /
+switch-allocation paths become lane reads: the round-robin-first wanting
+head of an output is one lookup of its bitmask in a
+``[rr pointer][mask]`` table (:func:`_rr_order_table`), and a bubble
+fabric walks the rest of that table entry when a head is cells-blocked.
 The lanes are plain Python lists rather than ndarrays because the hot
 loop makes *scalar* accesses, and CPython boxes every scalar read from an
 ndarray into a fresh ``float``/``int`` object — measurably slower than
 list indexing.  NumPy is used where access is bulk, not scalar (lane
-export via :meth:`ArraySimulator.lanes`, consumed by the invariant
-cross-checks in the test suite).  See ``docs/backends.md``.
+export via :meth:`ArraySimulator.lanes`, which the equivalence tests
+recompute from the routers' FIFOs mid-run).  See ``docs/backends.md``.
+
+**Lazy residency.**  The object kernel settles a router's residency
+(ticks per mode, or gated) at every fire.  Here a fire settles nothing:
+every change of power state or mode settles first (gating, wake-up, the
+policy's mode switch), and integer tick sums are exact in any grouping,
+so the end-of-run flush bills bit-identical residency.
 
 **Span skipping (the gated-epoch fast path).**  After a live cycle the
 kernel proves, from the lanes, that the *next* k cycles of the router
@@ -85,13 +95,36 @@ _SPAN_STALL = 4
 _SPAN_GATED = 5
 
 
+def _rr_order_table(ports: int) -> list[list[tuple[int, ...]]]:
+    """``table[start][mask]``: the input ports set in ``mask``, in
+    round-robin order from ``start`` (an output's ``rr`` pointer).
+
+    Indexing a ``_want`` head bitmask with it replaces the object
+    kernel's ``for j in range(ports)`` scan for the first FIFO head that
+    wants an output: element 0 is the round-robin winner, and the rest
+    are the fallbacks a bubble fabric walks when a head is cells-blocked.
+    """
+    return [
+        [
+            tuple(
+                ip for ip in (
+                    (start + j) % ports for j in range(ports)
+                ) if mask >> ip & 1
+            )
+            for mask in range(1 << ports)
+        ]
+        for start in range(ports)
+    ]
+
+
 def _cycles_before_due(t_ns: float, tick: int, period: int, k: int) -> int:
     """Largest ``j <= k`` such that an NI entry due at ``t_ns`` is still in
     the future at every cycle ``tick + i * period`` for ``0 < i <= j``.
 
     Replicates :meth:`Router.inject_pending`'s float comparison
     bit-for-bit, so a span ends on exactly the cycle where per-cycle
-    execution first sees the entry due.
+    execution first sees the entry due.  ``run`` inlines a copy at its
+    hot site; keep the two in step.
     """
     base = BASE_TICKS_PER_NS
     j = int((t_ns * base - tick) / period)
@@ -117,7 +150,11 @@ class ArraySimulator(Simulator):
         self._occ_total = [0] * n  # resident flits per router
         self._res_total = [0] * n  # outstanding reservations per router
         self._busy_max = [0] * n  # max(out_busy_until) per router
-        self._want = [0] * (ports * n)  # FIFO heads wanting (rid*P + port)
+        # Head-of-line bitmask per router and output port: bit ``ip`` of
+        # ``_want[rid][port]`` is set iff input FIFO ``ip``'s head packet
+        # routes to that output.
+        self._want = [[0] * ports for _ in range(n)]
+        self._rr_order = _rr_order_table(ports)
         # Open-span records (one per router, folded lazily).
         self._in_span = [False] * n
         self._span_kind = [0] * n
@@ -165,9 +202,12 @@ class ArraySimulator(Simulator):
     def lanes(self) -> dict:
         """Export the scheduler lanes as NumPy arrays (for cross-checks).
 
-        The equivalence tests recompute each lane from the object model
-        in bulk and compare; any drift means an aggregate-maintenance
-        site was missed.
+        ``occ_total``, ``res_total`` and ``busy_max`` are ``(routers,)``;
+        ``want`` is ``(routers, ports)``, each entry the head-of-line
+        bitmask of one output.  The equivalence tests recompute every
+        lane from the routers' FIFOs, reservations and busy ticks of a
+        run stopped mid-flight; any drift means a maintenance site was
+        missed.
         """
         import numpy as np
 
@@ -175,7 +215,7 @@ class ArraySimulator(Simulator):
             "occ_total": np.asarray(self._occ_total),
             "res_total": np.asarray(self._res_total),
             "busy_max": np.asarray(self._busy_max),
-            "want": np.asarray(self._want).reshape(-1, self._num_ports),
+            "want": np.asarray(self._want),
         }
 
     # ------------------------------------------------------------------ #
@@ -188,6 +228,8 @@ class ArraySimulator(Simulator):
         Replays exactly the per-cycle updates the object kernel would
         have made, in sequence — lazily deferring the credits until here
         is what makes partial rollback (interrupt / end-of-run) exact.
+        ``run`` inlines a copy where a live fire consumes its own span;
+        keep the two in step.
         """
         if kept <= 0:
             return
@@ -388,9 +430,9 @@ class ArraySimulator(Simulator):
 
         One inlined loop (see the module docstring for why).  Every
         block is a faithful transcription of the corresponding object
-        kernel method — ``_fire``, ``_commit_arrivals``, ``_eject``,
-        ``_forward``, ``_inject`` — plus lane maintenance, span
-        interrupts, and span eligibility.  Two bitmasks link the
+        kernel method — ``_fire`` (less its per-fire settle),
+        ``_commit_arrivals``, ``_eject``, ``_forward``, ``_inject`` —
+        plus lane maintenance, span interrupts, and span eligibility.  Two bitmasks link the
         transport scan to span eligibility so the latter need not
         re-scan the FIFOs: ``blocked`` marks output ports whose
         round-robin-first wanting head was head-of-line blocked on
@@ -414,6 +456,7 @@ class ArraySimulator(Simulator):
         res_total = self._res_total
         busy_max = self._busy_max
         want = self._want
+        rr_order = self._rr_order
         in_span = self._in_span
         span_kind = self._span_kind
         span_k = self._span_k
@@ -432,6 +475,7 @@ class ArraySimulator(Simulator):
         resp_flits = self._resp_flits
         horizon = self.horizon_tick
         cap = self._cap_tick
+        stop = cap if horizon is None or cap < horizon else horizon
         timeline = self.timeline
         stats = self.stats
         record_delivery = stats.record_delivery
@@ -439,7 +483,6 @@ class ArraySimulator(Simulator):
         fault_links = self._fault_links
         faults = self._faults
         telemetry = self._telemetry
-        fold = self._fold_span
         interrupt = self._interrupt_span
         notify = self._notify_neighbors
         gated_span = self._gated_span
@@ -456,42 +499,70 @@ class ArraySimulator(Simulator):
         final_tick = 0
         drained = False
         drain_rid: int | None = None
+        # Only a run without a horizon stops at drain, and the network
+        # can only become drained at an ejection (an injection makes a
+        # packet live) -- or be drained before the first fire.
+        drain_check = (
+            horizon is None
+            and self.packets_live == 0
+            and self.entries_remaining == 0
+        )
 
         while heap:
             tick, rid = heappop(heap)
             router = routers[rid]
             if tick != router.next_event_tick:
                 continue  # stale entry superseded by expedite/interrupt
-            if horizon is not None and tick > horizon:
-                final_tick = horizon
-                break
-            if tick > cap:
-                final_tick = tick
+            if tick > stop:
+                # Past the horizon (the run ends there) or the cap.
+                if horizon is not None and tick > horizon:
+                    final_tick = horizon
+                else:
+                    final_tick = tick
                 break
             now_ns = tick / base
 
             # --- consume the open span: this live cycle ends it, so
-            # every elided cycle is in the past — fold all its credits.
+            # every elided cycle is in the past — fold all its credits
+            # (_fold_span, inlined).
             if in_span[rid]:
                 in_span[rid] = False
-                fold(router, span_k[rid])
+                kept = span_k[rid]
+                if kept > 0:
+                    router.epoch_cycle += kept
+                    kind = span_kind[rid]
+                    if kind == _SPAN_IDLE:
+                        router.idle_count += kept
+                        router.epoch_idle_cycles += kept
+                    elif kind == _SPAN_GATED:
+                        router.total_off_cycles += kept
+                    elif kind == _SPAN_WAKE:
+                        if router.wake_stuck:
+                            router.watchdog_remaining -= kept
+                        else:
+                            router.wakeup_remaining -= kept
+                    else:  # PLAIN / HELD / STALL
+                        f = span_f[rid]
+                        if f:
+                            s = router.occ_sum
+                            for _ in range(kept):
+                                s += f
+                            router.occ_sum = s
+                        if kind == _SPAN_HELD:
+                            router.idle_count = 0
+                        elif kind == _SPAN_STALL:
+                            router.switch_stall -= kept
 
             self._firing_rid = rid
-            # Inlined settle (Simulator._fire prologue).
-            dt = tick - router.last_settle_tick
+            # No settle here: residency is settled lazily (module
+            # docstring), before each change of state or mode.
             state = router.state
-            if dt > 0:
-                if state is inactive:
-                    router.gated_ticks += dt
-                else:
-                    router.mode_ticks[router.mode.index] += dt
-                router.last_settle_tick = tick
             mult = 1
             blocked = 0
             unknown = 0
 
             if state is active:
-                basep = rid * ports
+                wrow = want[rid]
                 bufs = router.in_buffers
                 # 1. Commit transfers whose tail flit has landed
                 #    (inlined _commit_arrivals + buffer.commit).
@@ -524,7 +595,7 @@ class ArraySimulator(Simulator):
                         out_port = route_tab[rid][core_router[packet.dst_core]]
                         packet.out_port = out_port
                         if was_empty:
-                            want[basep + out_port] += 1
+                            wrow[out_port] |= 1 << in_port
                         if out_port != LOCAL:
                             # Inlined secure() fast path.
                             nbr = routers[nbr_row[out_port]]
@@ -558,81 +629,71 @@ class ArraySimulator(Simulator):
                         e_hop = dyn_e[voltage]
                         used = 0
                         # 2a. Ejection (inlined _eject + buffer.pop).
-                        if want[basep + LOCAL] and obusy[LOCAL] <= tick:
-                            start = rr[LOCAL]
-                            for j in range(ports):
-                                ip = (start + j) % ports
-                                buf = bufs[ip]
-                                queue = buf.queue
-                                if not queue or queue[0].out_port != LOCAL:
-                                    continue
-                                packet = queue.popleft()
-                                length = packet.length
-                                buf.occupancy -= length
-                                buf.cells -= 1
-                                if buf.occupancy < 0:
-                                    raise SimulationError(
-                                        "buffer occupancy went negative"
-                                    )
-                                occ_total[rid] -= length
-                                want[basep + LOCAL] -= 1
-                                if queue:
-                                    h = queue[0].out_port
-                                    want[basep + h] += 1
-                                    unknown |= 1 << h
-                                done = tick + length * period
-                                if wormhole:
-                                    tt = packet.tail_tick + period
-                                    if tt > done:
-                                        done = tt
-                                obusy[LOCAL] = done
-                                if done > busy_max[rid]:
-                                    busy_max[rid] = done
-                                eject_ns = done / base
-                                packet.eject_ns = eject_ns
-                                packet.hops += 1
-                                record_delivery(
-                                    eject_ns - packet.inject_ns,
-                                    length, packet.hops,
+                        m = wrow[LOCAL]
+                        if m and obusy[LOCAL] <= tick:
+                            ip = rr_order[rr[LOCAL]][m][0]
+                            used = 1 << ip
+                            buf = bufs[ip]
+                            queue = buf.queue
+                            packet = queue.popleft()
+                            length = packet.length
+                            buf.occupancy -= length
+                            buf.cells -= 1
+                            if buf.occupancy < 0:
+                                raise SimulationError(
+                                    "buffer occupancy went negative"
                                 )
-                                router.epoch_recvs += 1
-                                dyn_acc[rid] += e_hop * length
-                                hops_acc[rid] += length
-                                self.packets_live -= 1
-                                rr[LOCAL] = (ip + 1) % ports
-                                up = frid_row[ip]
-                                if (
-                                    up >= 0
-                                    and in_span[up]
-                                    and span_block[up] >> fport_row[ip] & 1
-                                ):
-                                    # Freed space unblocks an upstream
-                                    # span that relied on this input
-                                    # being full.
-                                    interrupt(routers[up], tick)
-                                used = 1 << ip
-                                break
+                            occ_total[rid] -= length
+                            wrow[LOCAL] = m ^ used
+                            if queue:
+                                h = queue[0].out_port
+                                wrow[h] |= used
+                                unknown |= 1 << h
+                            done = tick + length * period
+                            if wormhole:
+                                tt = packet.tail_tick + period
+                                if tt > done:
+                                    done = tt
+                            obusy[LOCAL] = done
+                            if done > busy_max[rid]:
+                                busy_max[rid] = done
+                            eject_ns = done / base
+                            packet.eject_ns = eject_ns
+                            packet.hops += 1
+                            record_delivery(
+                                eject_ns - packet.inject_ns,
+                                length, packet.hops,
+                            )
+                            router.epoch_recvs += 1
+                            dyn_acc[rid] += e_hop * length
+                            hops_acc[rid] += length
+                            live = self.packets_live - 1
+                            self.packets_live = live
+                            if not live and horizon is None:
+                                drain_check = True
+                            rr[LOCAL] = (ip + 1) % ports
+                            up = frid_row[ip]
+                            if (
+                                up >= 0
+                                and in_span[up]
+                                and span_block[up] >> fport_row[ip] & 1
+                            ):
+                                # Freed space unblocks an upstream span
+                                # that relied on this input being full.
+                                interrupt(routers[up], tick)
                         # 2b. Switch allocation (inlined _forward).
                         for port, nbr_id, opp in links[rid]:
-                            if not want[basep + port] or obusy[port] > tick:
+                            m = wrow[port] & ~used
+                            if not m or obusy[port] > tick:
                                 continue
                             nbr = routers[nbr_id]
-                            start = rr[port]
-                            for j in range(ports):
-                                ip = (start + j) % ports
-                                if used >> ip & 1:
-                                    continue
-                                buf = bufs[ip]
-                                queue = buf.queue
-                                if not queue or queue[0].out_port != port:
-                                    continue
-                                if (
-                                    nbr.state is not active
-                                    or nbr.switch_stall
-                                ):
-                                    blocked |= 1 << port
-                                    break
-                                nbuf = nbr.in_buffers[opp]
+                            if nbr.state is not active or nbr.switch_stall:
+                                # The round-robin-first wanting head is
+                                # blocked on the neighbour.
+                                blocked |= 1 << port
+                                continue
+                            nbuf = nbr.in_buffers[opp]
+                            for ip in rr_order[rr[port]][m]:
                                 # Bubble flow control (torus/ring): a
                                 # cells-blocked head does NOT block the
                                 # output (``continue``, not ``break``) —
@@ -644,6 +705,8 @@ class ArraySimulator(Simulator):
                                     < mc[port][ip]
                                 ):
                                     continue
+                                buf = bufs[ip]
+                                queue = buf.queue
                                 packet = queue[0]
                                 length = packet.length
                                 if (
@@ -683,12 +746,13 @@ class ArraySimulator(Simulator):
                                         "buffer occupancy went negative"
                                     )
                                 occ_total[rid] -= length
-                                want[basep + port] -= 1
+                                bit = 1 << ip
+                                wrow[port] ^= bit
                                 if queue:
                                     h = queue[0].out_port
-                                    want[basep + h] += 1
+                                    wrow[h] |= bit
                                     unknown |= 1 << h
-                                used |= 1 << ip
+                                used |= bit
                                 done = tick + length * period
                                 if wormhole:
                                     tt = packet.tail_tick + period
@@ -793,7 +857,8 @@ class ArraySimulator(Simulator):
                                 out_port = route_tab[rid][core_router[dst]]
                                 packet.out_port = out_port
                                 if was_empty:
-                                    want[basep + out_port] += 1
+                                    # The LOCAL input's bit (LOCAL == 0).
+                                    wrow[out_port] |= 1
                                     unknown |= 1 << out_port
                                 if out_port != LOCAL:
                                     nbr = routers[nbr_port[rid][out_port]]
@@ -850,7 +915,6 @@ class ArraySimulator(Simulator):
                         sums = router.occ_port_sums
                         for p in range(ports):
                             sums[p] += bufs[p].occupancy / depth
-                router.epoch_cycle += 1
 
             elif state is inactive:
                 # Gated heartbeat (inlined _fire INACTIVE branch).
@@ -862,13 +926,14 @@ class ArraySimulator(Simulator):
                     or router.arrivals
                     or (pos < len(q) and q[pos][0] <= now_ns)
                 ):
+                    self.now_tick = tick
+                    self.settle(router)
                     router.begin_wakeup()
                     if faults is not None:
                         self._apply_wakeup_faults(router)
                     add_wake_event(rid, router.mode)
                     if telemetry is not None:
                         telemetry.on_wake_begin(rid, tick)
-                router.epoch_cycle += 1
 
             else:  # WAKEUP (inlined _fire WAKEUP branch + notify)
                 if router.wake_stuck:
@@ -890,12 +955,14 @@ class ArraySimulator(Simulator):
                         if telemetry is not None:
                             telemetry.on_wake_complete(rid, tick, False)
                         notify(router, tick)
-                router.epoch_cycle += 1
 
-            if router.epoch_cycle >= epoch_cycles:
+            ec = router.epoch_cycle + 1
+            router.epoch_cycle = ec
+            if ec >= epoch_cycles:
                 self.now_tick = tick
                 self.now_ns = now_ns
                 boundary(router)
+                ec = router.epoch_cycle
 
             # --- span eligibility: prove the next k cycles silent ----
             if span_ok:
@@ -909,7 +976,7 @@ class ArraySimulator(Simulator):
                         # stall's last is elidable.  The last stall
                         # cycle runs live to notify blocked neighbours.
                         period = router.cur_period
-                        k = epoch_cycles - router.epoch_cycle - 1
+                        k = epoch_cycles - ec - 1
                         c = (cap - tick) // period
                         if c < k:
                             k = c
@@ -937,7 +1004,7 @@ class ArraySimulator(Simulator):
                         period = router.cur_period
                         # Never elide across the epoch boundary or the
                         # safety cap.
-                        k = epoch_cycles - router.epoch_cycle - 1
+                        k = epoch_cycles - ec - 1
                         c = (cap - tick) // period
                         if c < k:
                             k = c
@@ -958,10 +1025,10 @@ class ArraySimulator(Simulator):
                                 # decide each wanted output as the next
                                 # cycle's allocation would, reusing this
                                 # cycle's scan outcome where still valid.
-                                basep = rid * ports
+                                wrow = want[rid]
                                 obusy = router.out_busy_until
                                 nxt_t = tick + period
-                                if want[basep + LOCAL]:
+                                if wrow[LOCAL]:
                                     b = obusy[LOCAL]
                                     if b <= nxt_t:
                                         k = 0  # ejectable next cycle
@@ -973,7 +1040,7 @@ class ArraySimulator(Simulator):
                                     bufs = router.in_buffers
                                     rr = router.rr
                                     for port, nbr_id, opp in links[rid]:
-                                        if not want[basep + port]:
+                                        if not wrow[port]:
                                             continue
                                         b = obusy[port]
                                         if b > nxt_t:
@@ -1019,39 +1086,30 @@ class ArraySimulator(Simulator):
                                         # interrupts us like a capacity
                                         # block.
                                         nbuf = nbr.in_buffers[opp]
-                                        start = rr[port]
-                                        decided = False
-                                        for j in range(ports):
-                                            ip2 = (start + j) % ports
-                                            qq = bufs[ip2].queue
-                                            if (
-                                                not qq
-                                                or qq[0].out_port != port
-                                            ):
-                                                continue
+                                        for ip in rr_order[rr[port]][
+                                            wrow[port]
+                                        ]:
                                             if (
                                                 mc is not None
                                                 and cell_cap - nbuf.cells
-                                                < mc[port][ip2]
+                                                < mc[port][ip]
                                             ):
                                                 continue
                                             if (
                                                 nbuf.capacity
                                                 - nbuf.occupancy
                                                 - nbuf.reserved
-                                                < qq[0].length
+                                                < bufs[ip].queue[0].length
                                             ):
                                                 # Capacity-blocked: space
                                                 # frees only via a
                                                 # downstream pop, which
                                                 # interrupts us.
                                                 blk |= 1 << port
-                                                decided = True
                                                 break
                                             k = 0  # grantable next cycle
-                                            decided = True
                                             break
-                                        if not decided:
+                                        else:
                                             # Every wanting head was
                                             # cells-blocked (bubble
                                             # fabrics only): unblocks
@@ -1085,9 +1143,21 @@ class ArraySimulator(Simulator):
                                             # (live) pops.
                                             inj_blocked = True
                                     elif fits:
-                                        k = _cycles_before_due(
-                                            t_ns, tick, period, k
-                                        )
+                                        # Inlined _cycles_before_due.
+                                        j = int((t_ns * base - tick) / period)
+                                        if j > k:
+                                            j = k
+                                        elif j < 0:
+                                            j = 0
+                                        while j > 0 and (
+                                            t_ns <= (tick + j * period) / base
+                                        ):
+                                            j -= 1
+                                        while j < k and t_ns > (
+                                            (tick + (j + 1) * period) / base
+                                        ):
+                                            j += 1
+                                        k = j
                                     # else: due later but already over
                                     # capacity -- it cannot inject before
                                     # one of our own pops, and every pop
@@ -1152,14 +1222,12 @@ class ArraySimulator(Simulator):
             router.next_event_tick = nxt
             heappush(heap, (nxt, rid))
             final_tick = tick
-            if (
-                horizon is None
-                and self.packets_live == 0
-                and self.entries_remaining == 0
-            ):
-                drained = True
-                drain_rid = rid
-                break
+            if drain_check:
+                if self.packets_live == 0 and self.entries_remaining == 0:
+                    drained = True
+                    drain_rid = rid
+                    break
+                drain_check = False
 
         # --- epilogue (object run + span rollback + shadow flush) -----
         self._arr_seq = arr_seq
