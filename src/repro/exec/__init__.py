@@ -15,54 +15,38 @@ resumable:
   the telemetry experiment's counters those runs read and report),
 * :mod:`repro.exec.journal` — a crash-safe checkpoint of finished task
   keys, so a killed campaign reports how much work it resumed.
+
+The re-exports below resolve on first access, so importing
+:mod:`repro.exec.cache` to read a cache entry loads no kernel.
 """
 
-from repro.exec.cache import (
-    RunCache,
-    capture_key,
-    code_version,
-    run_cache_for,
-    run_key,
-)
-from repro.exec.journal import CampaignJournal
-from repro.exec.pool import (
-    CaptureTask,
-    PoolHealth,
-    SimTask,
-    TrainTask,
-    capture_feature_set,
-    effective_jobs,
-    execute_capture_task,
-    execute_sim_task,
-    feature_set_spec,
-    map_tasks,
-    resolve_feature_set,
-    run_capture_tasks,
-    run_sim_tasks,
-    run_train_tasks,
-    train_models,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CampaignJournal",
-    "CaptureTask",
-    "PoolHealth",
-    "RunCache",
-    "SimTask",
-    "TrainTask",
-    "capture_feature_set",
-    "capture_key",
-    "code_version",
-    "effective_jobs",
-    "execute_capture_task",
-    "execute_sim_task",
-    "feature_set_spec",
-    "map_tasks",
-    "resolve_feature_set",
-    "run_cache_for",
-    "run_capture_tasks",
-    "run_key",
-    "run_sim_tasks",
-    "run_train_tasks",
-    "train_models",
-]
+#: Re-exports, resolved on first access: name -> defining module.
+_EXPORTS = {
+    "RunCache": "repro.exec.cache",
+    "capture_key": "repro.exec.cache",
+    "code_version": "repro.exec.cache",
+    "run_cache_for": "repro.exec.cache",
+    "run_key": "repro.exec.cache",
+    "CampaignJournal": "repro.exec.journal",
+    "CaptureTask": "repro.exec.pool",
+    "PoolHealth": "repro.exec.pool",
+    "SimTask": "repro.exec.pool",
+    "TrainTask": "repro.exec.pool",
+    "capture_feature_set": "repro.exec.pool",
+    "effective_jobs": "repro.exec.pool",
+    "execute_capture_task": "repro.exec.pool",
+    "execute_sim_task": "repro.exec.pool",
+    "feature_set_spec": "repro.exec.pool",
+    "map_tasks": "repro.exec.pool",
+    "resolve_feature_set": "repro.exec.pool",
+    "run_capture_tasks": "repro.exec.pool",
+    "run_sim_tasks": "repro.exec.pool",
+    "run_train_tasks": "repro.exec.pool",
+    "train_models": "repro.exec.pool",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

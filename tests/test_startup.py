@@ -68,6 +68,25 @@ def test_help_loads_no_kernel():
     assert not loaded & set(_KERNEL), sorted(loaded & set(_KERNEL))
 
 
+def test_cache_import_loads_no_kernel():
+    """Reading a run-cache entry needs ``repro.exec.cache`` only; the
+    package's re-exports of the pool must not drag the kernel in."""
+    loaded = _loaded_after("import repro.exec.cache")
+    assert "repro.exec.cache" in loaded
+    assert "repro.exec.pool" not in loaded
+    assert "repro.noc.simulator" not in loaded
+
+
+def test_exec_reexports_resolve_lazily():
+    loaded = _loaded_after(
+        "import sys\n"
+        "import repro.exec as e\n"
+        "assert 'repro.exec.pool' not in sys.modules\n"
+        "assert all(getattr(e, name) for name in e.__all__)"
+    )
+    assert "repro.exec.pool" in loaded
+
+
 def test_warm_repro_all_loads_no_kernel(tmp_path):
     argv = ["repro-all", "--scale", "quick", "--only", "table1",
             "--cache-dir", str(tmp_path / "cache"),
