@@ -103,8 +103,16 @@ FULL_CONFIG = SimConfig(topology="mesh", radix=4, epoch_cycles=250,
 #: on.
 KERNEL_BOUND_POLICIES = ("baseline",)
 
+#: The paper's 8x8 mesh (epoch 500) on a short window: 400 ns of bodytrack
+#: (about 1,500 packets) and its drain, so the uploaded BENCH_kernel.json
+#: tracks the kernel at paper scale, not only at 4x4.  Informational: no
+#: speedup bound applies to it.
+MESH8_CONFIG = SimConfig.paper_mesh(horizon_ns=800.0)
+MESH8_TRACE = generate_benchmark_trace("bodytrack", num_cores=64,
+                                       duration_ns=400.0)
 
-def _bench_backend_case(policy_name, rounds):
+
+def _bench_backend_case(config, trace, policy_name, rounds):
     """Interleaved best-of-N wall-clock for one policy on both backends.
 
     Alternating object/array runs inside one process means a background
@@ -113,14 +121,14 @@ def _bench_backend_case(policy_name, rounds):
     """
     from time import perf_counter
 
-    object_config = FULL_CONFIG.with_(backend="object")
-    array_config = FULL_CONFIG.with_(backend="array")
+    object_config = config.with_(backend="object")
+    array_config = config.with_(backend="array")
 
     def run_object():
-        return run_simulation(object_config, TRACE, make_policy(policy_name))
+        return run_simulation(object_config, trace, make_policy(policy_name))
 
     def run_array():
-        return run_simulation(array_config, TRACE, make_policy(policy_name))
+        return run_simulation(array_config, trace, make_policy(policy_name))
 
     ref, got = run_object(), run_array()  # warm-up + equivalence probe
     equal = ref.summary() == got.summary()
@@ -150,34 +158,19 @@ def _router_cycles(config):
     return n_routers * config.horizon_ns * top_ghz
 
 
-def test_backend_comparison_emits_kernel_json(report_dir, artifact_out):
-    """Object-vs-array kernel comparison across all five policies.
-
-    Writes the ``BENCH_kernel`` datapoint (router-cycles/sec per backend
-    x policy plus the speedup ratio) into the schema-versioned
-    ``out/bench/`` slot shared with ``repro-all`` manifests, keeping an
-    unwrapped compat copy at the legacy ``benchmarks/out/`` path for CI
-    upload, and asserts:
-
-    * both backends produce identical ``summary()`` dicts on every case
-      (bit-identity smoke — the full proof lives in the golden suite and
-      the ``--differential-backend`` fuzz leg), and
-    * the array kernel is >=3x faster on the kernel-bound baseline case.
-    """
-    import os
-
-    from repro.experiments.artifact import write_bench_artifact
+def _compare_backends(config, trace, rounds):
+    """One row of the comparison: every policy on both backends."""
     from repro.experiments.runner import MODEL_NAMES
 
-    quick = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "", "false")
-    rounds = 5 if quick else 9
-
-    cycles = _router_cycles(FULL_CONFIG)
+    cycles = _router_cycles(config)
     cases = {}
     for policy_name in MODEL_NAMES:
-        best_obj, best_arr, equal = _bench_backend_case(policy_name, rounds)
+        best_obj, best_arr, equal = _bench_backend_case(
+            config, trace, policy_name, rounds
+        )
         assert equal, (
-            f"object and array kernels diverged on policy {policy_name!r}"
+            f"object and array kernels diverged on policy {policy_name!r} "
+            f"({config.topology} radix {config.radix})"
         )
         cases[policy_name] = {
             "object_s": best_obj,
@@ -187,18 +180,50 @@ def test_backend_comparison_emits_kernel_json(report_dir, artifact_out):
             "speedup": best_obj / best_arr,
             "kernel_bound": policy_name in KERNEL_BOUND_POLICIES,
         }
+    return cases
+
+
+def _config_fields(config):
+    return {
+        "topology": config.topology,
+        "radix": config.radix,
+        "epoch_cycles": config.epoch_cycles,
+        "horizon_ns": config.horizon_ns,
+    }
+
+
+def test_backend_comparison_emits_kernel_json(report_dir, artifact_out):
+    """Object-vs-array kernel comparison across all five policies.
+
+    Writes the ``BENCH_kernel`` datapoint (router-cycles/sec per backend
+    x policy plus the speedup ratio, on the 4x4 window and, under
+    ``mesh8``, on the paper's 8x8 mesh) into the schema-versioned
+    ``out/bench/`` slot shared with ``repro-all`` manifests, keeping an
+    unwrapped compat copy at the legacy ``benchmarks/out/`` path for CI
+    upload, and asserts:
+
+    * both backends produce identical ``summary()`` dicts on every case
+      (bit-identity smoke — the full proof lives in the golden suite and
+      the ``--differential-backend`` fuzz leg), and
+    * the array kernel is >=3x faster on the kernel-bound 4x4 baseline
+      case (the 8x8 row is not gated).
+    """
+    import os
+
+    from repro.experiments.artifact import write_bench_artifact
+
+    quick = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "", "false")
+    rounds = 5 if quick else 9
+
+    cases = _compare_backends(FULL_CONFIG, TRACE, rounds)
+    mesh8_cases = _compare_backends(MESH8_CONFIG, MESH8_TRACE, rounds)
 
     payload = {
         "bench": "kernel-backend-comparison",
         "trace": "bodytrack x16 cores, 900 ns",
-        "config": {
-            "topology": FULL_CONFIG.topology,
-            "radix": FULL_CONFIG.radix,
-            "epoch_cycles": FULL_CONFIG.epoch_cycles,
-            "horizon_ns": FULL_CONFIG.horizon_ns,
-        },
+        "config": _config_fields(FULL_CONFIG),
         "rounds": rounds,
-        "router_cycles_per_run": cycles,
+        "router_cycles_per_run": _router_cycles(FULL_CONFIG),
         "note": (
             "speedup gate applies to kernel_bound cases only; on gating "
             "policies the object kernel fires every gated heartbeat and "
@@ -206,14 +231,23 @@ def test_backend_comparison_emits_kernel_json(report_dir, artifact_out):
             "also measure span coverage (see docs/backends.md)"
         ),
         "cases": cases,
+        "mesh8": {
+            "trace": "bodytrack x64 cores, 400 ns",
+            "config": _config_fields(MESH8_CONFIG),
+            "router_cycles_per_run": _router_cycles(MESH8_CONFIG),
+            "cases": mesh8_cases,
+        },
     }
     path = write_bench_artifact(
         artifact_out, "BENCH_kernel", payload, legacy_dir=report_dir
     )
     print(f"\n[kernel comparison written to {path}]")
-    for name, row in cases.items():
-        print(f"  {name:18s} object {row['object_s']:.4f}s  "
-              f"array {row['array_s']:.4f}s  {row['speedup']:.2f}x")
+    for label, rows in (("4x4", cases), ("8x8", mesh8_cases)):
+        for name, row in rows.items():
+            print(f"  {label} {name:14s} object {row['object_s']:.4f}s  "
+                  f"array {row['array_s']:.4f}s  {row['speedup']:.2f}x  "
+                  f"{row['array_router_cycles_per_s'] / 1e6:.2f} M "
+                  "router-cycles/s")
 
     for policy_name in KERNEL_BOUND_POLICIES:
         ratio = cases[policy_name]["speedup"]
