@@ -64,6 +64,7 @@ epoch boundary, where every credit has been folded.
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
 
 from repro.common.errors import SimulationError
 from repro.common.units import BASE_TICKS_PER_NS
@@ -95,7 +96,8 @@ _SPAN_STALL = 4
 _SPAN_GATED = 5
 
 
-def _rr_order_table(ports: int) -> list[list[tuple[int, ...]]]:
+@lru_cache(maxsize=None)
+def _rr_order_table(ports: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """``table[start][mask]``: the input ports set in ``mask``, in
     round-robin order from ``start`` (an output's ``rr`` pointer).
 
@@ -103,18 +105,19 @@ def _rr_order_table(ports: int) -> list[list[tuple[int, ...]]]:
     kernel's ``for j in range(ports)`` scan for the first FIFO head that
     wants an output: element 0 is the round-robin winner, and the rest
     are the fallbacks a bubble fabric walks when a head is cells-blocked.
+    Immutable and shared by every simulator with ``ports`` ports.
     """
-    return [
-        [
+    return tuple(
+        tuple(
             tuple(
                 ip for ip in (
                     (start + j) % ports for j in range(ports)
                 ) if mask >> ip & 1
             )
             for mask in range(1 << ports)
-        ]
+        )
         for start in range(ports)
-    ]
+    )
 
 
 def _cycles_before_due(t_ns: float, tick: int, period: int, k: int) -> int:
