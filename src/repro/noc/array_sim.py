@@ -435,10 +435,10 @@ class ArraySimulator(Simulator):
         block is a faithful transcription of the corresponding object
         kernel method — ``_fire`` (less its per-fire settle),
         ``_commit_arrivals``, ``_eject``, ``_forward``, ``_inject`` —
-        plus lane maintenance, span interrupts, and span eligibility.  Two bitmasks link the
-        transport scan to span eligibility so the latter need not
-        re-scan the FIFOs: ``blocked`` marks output ports whose
-        round-robin-first wanting head was head-of-line blocked on
+        plus lane maintenance, span interrupts, and span eligibility.
+        Two bitmasks link the transport scan to span eligibility so the
+        latter need not re-scan the FIFOs: ``blocked`` marks output ports
+        whose round-robin-first wanting head was head-of-line blocked on
         *frozen* downstream state this cycle, and ``unknown`` marks
         ports that gained a new FIFO head after their allocation scan
         (those must be re-scanned before trusting ``blocked``).
