@@ -62,6 +62,15 @@ _CMESH2 = {
     "epoch_cycles": 150,
 }
 
+#: The paper's 4x4 concentrated mesh (four cores per router, 64 cores)
+#: at its own epoch, for one short run per headline policy.
+_PAPER_CMESH = SimConfig.paper_cmesh()
+_CMESH4 = {
+    "topology": _PAPER_CMESH.topology, "radix": _PAPER_CMESH.radix,
+    "concentration": _PAPER_CMESH.concentration,
+    "epoch_cycles": _PAPER_CMESH.epoch_cycles,
+}
+
 #: The paper's 8x8 mesh at its 500-cycle epoch, for one short run.
 _MESH8 = {
     "topology": "mesh", "radix": 8, "concentration": 1,
@@ -102,10 +111,14 @@ def golden_cases() -> list[dict]:
         case(f"ring3-vct-blackscholes-{policy}", policy, "blackscholes",
              substrate=_RING3)
     # The paper's two configurations: the quick cmesh under the paper's
-    # three headline policies, and one short run at the 8x8 scale.
+    # three headline policies, short runs of the paper's 4x4 cmesh, and
+    # one short run at the 8x8 scale.
     for policy in ("baseline", "pg", "dozznoc"):
         case(f"cmesh2-vct-blackscholes-{policy}", policy, "blackscholes",
              substrate=_CMESH2)
+    for policy in ("baseline", "dozznoc"):
+        case(f"cmesh4-vct-blackscholes-{policy}", policy, "blackscholes",
+             substrate=_CMESH4)
     case("mesh8-vct-blackscholes-dozznoc", "dozznoc", "blackscholes",
          substrate=_MESH8)
     # A second traffic pattern, wormhole switching, and the proactive path.
