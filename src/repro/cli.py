@@ -177,13 +177,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     topology = args.topology or ("cmesh" if args.cmesh else "mesh")
     if topology == "cmesh":
         base = SimConfig.paper_cmesh()
-    elif topology == "mesh":
-        base = SimConfig.paper_mesh()
     else:
-        # Torus / ring at 64 cores (radix 8): bubble fabrics need two
-        # max-length packet cells per input buffer (see docs/fabrics.md).
-        base = SimConfig(topology=topology, radix=8, concentration=1,
-                         buffer_depth=10)
+        base = SimConfig.paper_mesh()
     config = base.with_(switching=args.switching, backend=args.backend)
     trace = generate_benchmark_trace(
         args.benchmark, num_cores=config.num_cores, duration_ns=args.duration,
@@ -400,7 +395,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                   (lambda line: print(line, flush=True))),
         faults=args.faults,
         backend_differential=args.differential_backend,
-        fabrics=tuple(args.fabrics) if args.fabrics else None,
     )
     print(report.summary())
     return 0 if report.ok else 1
@@ -471,10 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--compressed", action="store_true")
     p_run.add_argument("--topology", default=None,
-                       choices=["mesh", "cmesh", "torus", "ring"],
-                       help="fabric to simulate (default: mesh; torus and "
-                            "ring run 64 cores at radix 8 with the bubble "
-                            "buffer depth)")
+                       choices=["mesh", "cmesh"],
+                       help="network to simulate (default: mesh; both "
+                            "run the paper's 64 cores)")
     p_run.add_argument("--cmesh", action="store_true",
                        help="shorthand for --topology cmesh")
     p_run.add_argument("--switching", choices=["vct", "wormhole"],
@@ -586,12 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
             "re-run every clean trial on the array kernel "
             "(--backend array) and require identical metrics"
         ),
-    )
-    p_fuzz.add_argument(
-        "--fabrics", nargs="+", default=None, metavar="FABRIC",
-        choices=["mesh", "cmesh", "torus", "ring"],
-        help="restrict the per-trial topology draw to these fabrics "
-             "(default: all four)",
     )
     p_fuzz.set_defaults(fn=_cmd_fuzz)
 

@@ -21,21 +21,12 @@ class SimConfig:
     Parameters
     ----------
     topology:
-        A registered fabric name (see :mod:`repro.noc.fabrics`):
-        ``"mesh"`` (one core per router), ``"cmesh"`` (concentrated mesh,
-        ``concentration`` cores per router), ``"torus"`` (wraparound mesh
-        with minimal modular DOR and cell-bubble flow control), or
-        ``"ring"`` (routerless-style unidirectional ring overlay of
-        ``radix**2`` interfaces).  The paper evaluates an 8x8 mesh and a
-        4x4 cmesh, both with 64 cores; torus and ring extend the same
-        harness.  Bubble fabrics (torus, ring) need ``buffer_depth`` of
-        at least two max-length packets so each input buffer holds two
-        packet cells (one resident packet plus the deadlock-avoidance
-        bubble).
+        ``"mesh"`` (one core per router) or ``"cmesh"`` (concentrated
+        mesh, ``concentration`` cores per router); see
+        :mod:`repro.noc.topology`.  The paper evaluates an 8x8 mesh and a
+        4x4 cmesh, both with 64 cores.
     radix:
         Routers per mesh dimension (8 for the mesh, 4 for the cmesh).
-        The ring places ``radix**2`` interfaces on one ring so node
-        counts stay comparable across fabrics at equal radix.
     concentration:
         Cores attached to each router (1 for mesh, 4 for cmesh).
     buffer_depth:
@@ -90,7 +81,7 @@ class SimConfig:
     extra: dict[str, Any] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        if self.topology not in ("mesh", "cmesh", "torus", "ring"):
+        if self.topology not in ("mesh", "cmesh"):
             raise ConfigError(f"unknown topology {self.topology!r}")
         if self.radix < 2:
             raise ConfigError(f"radix must be >= 2, got {self.radix}")
@@ -105,14 +96,6 @@ class SimConfig:
             raise ConfigError(
                 "buffer_depth must hold the longest packet "
                 f"({max_len} flits), got {self.buffer_depth}"
-            )
-        if self.topology in ("torus", "ring") and self.buffer_depth < 2 * max_len:
-            # Bubble fabrics need >= 2 packet cells per buffer: one for a
-            # resident packet plus the deadlock-avoidance bubble.
-            raise ConfigError(
-                f"{self.topology} topology needs buffer_depth >= "
-                f"{2 * max_len} (two max-length packets) for bubble flow "
-                f"control, got {self.buffer_depth}"
             )
         if min(self.request_flits, self.response_flits) < 1:
             raise ConfigError("packet lengths must be >= 1 flit")

@@ -37,7 +37,6 @@ _VERSIONED_MODULES: tuple[str, ...] = (
     "repro.faults.scheduler",
     "repro.noc.array_sim",
     "repro.noc.buffer",
-    "repro.noc.fabrics",
     "repro.noc.network",
     "repro.noc.packet",
     "repro.noc.router",

@@ -80,10 +80,10 @@ if TYPE_CHECKING:  # pragma: no cover - avoids an exec<->experiments cycle
 #: entries whose keys predate it.  v6: ``ModelMetrics`` gained a
 #: drift-monitor trip counter; the payload field set changed, so older
 #: entries must be re-simulated.
-#: v7: the fabric subsystem landed (:mod:`repro.noc.fabrics` — torus and
-#: ring topologies, precomputed route tables, cell-bubble flow control)
-#: and the default backend flipped to ``array``; the new module joins the
-#: code digest and older entries predate its coverage.  v8: the model
+#: v7: a fabric registry landed (two extra topologies, since retired, and
+#: precomputed route tables) and the default backend flipped to
+#: ``array``; its module joined the code digest and older entries
+#: predate that coverage.  v8: the model
 #: lifecycle tier was retired — ``ModelMetrics`` lost the drift-monitor
 #: counter and run keys lost their ``model=`` and ``online=`` parts.
 SCHEMA_VERSION = 8

@@ -1,7 +1,7 @@
 """``dozznoc repro-all``: one-command reproduction of every result.
 
 This module owns the declarative registry behind the push-button
-artifact: every paper table/figure plus the fault/telemetry/fabric
+artifact: every paper table/figure plus the fault/telemetry
 extensions, each reduced to one :class:`ReproEntry` whose builder returns
 a plain JSON payload of the shape::
 
@@ -100,29 +100,6 @@ def cmesh_sim(scale_name: str, backend: str = "array") -> SimConfig:
         topology="cmesh", radix=2, concentration=4, epoch_cycles=150,
         backend=backend,
     )
-
-
-def fabric_sims(scale_name: str, backend: str = "array") -> dict[str, SimConfig]:
-    """One campaign configuration per registered fabric at one scale.
-
-    Mesh and cmesh reuse the scale's own profiles.  The torus wraps the
-    scale's mesh substrate (same radix/epoch) with the bubble buffer
-    depth; the routerless ring stays deliberately small (radix 3, nine
-    interfaces) because a single unidirectional link is the fabric's
-    whole bisection — larger rings saturate at campaign injection rates
-    and stop draining inside the horizon.
-    """
-    if scale_name == "paper":
-        mesh = SimConfig.paper_mesh(backend=backend)
-    else:
-        mesh = SimConfig(topology="mesh", radix=4, epoch_cycles=150,
-                         backend=backend)
-    return {
-        "mesh": mesh,
-        "cmesh": cmesh_sim(scale_name, backend=backend),
-        "torus": mesh.with_(topology="torus", buffer_depth=10),
-        "ring": mesh.with_(topology="ring", radix=3, buffer_depth=10),
-    }
 
 
 def scale_fingerprint(scale_name: str, scale: EvalScale) -> str:
@@ -358,32 +335,6 @@ def _build_cmesh(ctx: ReproContext) -> dict:
             "rows": _campaign_rows("cmesh", result),
         },
         "data": {"summary": campaign_summary_payload(result)},
-    }
-
-
-def _build_fabrics(ctx: ReproContext) -> dict:
-    """The fabric campaign matrix: every registered topology, all models.
-
-    One campaign per fabric through the shared engine (so the run cache,
-    journal and memo all apply), folded into one cross-fabric table with
-    per-(fabric, model) headline coverage.
-    """
-    from repro.experiments.campaign import campaign_summary_payload
-
-    headlines: dict = {}
-    rows: list[list] = []
-    data: dict = {}
-    for name, sim in fabric_sims(
-        ctx.scale_name, backend=ctx.scale.sim.backend
-    ).items():
-        result = ctx.campaign(sim=sim)
-        headlines.update(_campaign_headlines(name, result))
-        rows += _campaign_rows(name, result)
-        data[name] = campaign_summary_payload(result)
-    return {
-        "headlines": headlines,
-        "table": {"headers": _CAMPAIGN_TABLE_HEADERS, "rows": rows},
-        "data": data,
     }
 
 
@@ -680,9 +631,6 @@ REPRO_EXPERIMENTS: dict[str, ReproEntry] = {
                    True, _build_buffers),
         ReproEntry("ladder", "DVFS-ladder granularity (extension)",
                    "extension", True, _build_ladder),
-        ReproEntry("fabrics", "fabric matrix: mesh/cmesh/torus/ring "
-                   "campaigns (extension)", "extension", True,
-                   _build_fabrics),
         ReproEntry("faults", "graceful degradation under faults (extension)",
                    "extension", True, _build_faults),
         ReproEntry("telemetry", "deterministic telemetry counters "

@@ -24,7 +24,6 @@ from repro.noc.buffer import InputBuffer
 from repro.noc.router import Router
 from repro.noc.network import Network
 from repro.noc.stats import NetworkStats, EpochRecord
-from repro.noc.timeline import TimelineSampler, TimelineSample
 from repro.noc.simulator import Simulator, SimResult, run_simulation
 
 __all__ = [
@@ -47,8 +46,6 @@ __all__ = [
     "Network",
     "NetworkStats",
     "EpochRecord",
-    "TimelineSampler",
-    "TimelineSample",
     "Simulator",
     "SimResult",
     "run_simulation",

@@ -13,8 +13,7 @@ the handful of mutation sites (commit, pop, reserve, inject).  The
 O(ports) scans in the object kernel's ``is_idle`` / ejection /
 switch-allocation paths become lane reads: the round-robin-first wanting
 head of an output is one lookup of its bitmask in a
-``[rr pointer][mask]`` table (:func:`_rr_order_table`), and a bubble
-fabric walks the rest of that table entry when a head is cells-blocked.
+``[rr pointer][mask]`` table (:data:`_RR_WINNER`).
 The lanes are plain Python lists rather than ndarrays because the hot
 loop makes *scalar* accesses, and CPython boxes every scalar read from an
 ndarray into a fresh ``float``/``int`` object — measurably slower than
@@ -52,8 +51,7 @@ object kernel would have executed (including ``m`` sequential float
 additions into ``occ_sum``, which is *not* equivalent to adding
 ``m * f`` once).
 
-Spans are disabled when a timeline sampler observes every fire, and when
-the active feature set is not router-local
+Spans are disabled when the active feature set is not router-local
 (:attr:`repro.core.features.FeatureSet.router_local`): a neighbour read
 (``neighbor_*``) would see a spanning router's lazily deferred counters,
 and per-port occupancy accumulators are not folded.  Router-local
@@ -64,7 +62,6 @@ epoch boundary, where every credit has been folded.
 from __future__ import annotations
 
 import heapq
-from functools import lru_cache
 
 from repro.common.errors import SimulationError
 from repro.common.units import BASE_TICKS_PER_NS
@@ -73,7 +70,7 @@ from repro.core.states import PowerState
 from repro.noc.packet import Packet
 from repro.noc.router import Router
 from repro.noc.simulator import SimResult, Simulator
-from repro.noc.topology import LOCAL
+from repro.noc.topology import LOCAL, NUM_PORTS, OPPOSITE
 from repro.power.dsent import dynamic_energy_pj
 from repro.traffic.trace import KIND_REQUEST
 
@@ -96,28 +93,24 @@ _SPAN_STALL = 4
 _SPAN_GATED = 5
 
 
-@lru_cache(maxsize=None)
-def _rr_order_table(ports: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """``table[start][mask]``: the input ports set in ``mask``, in
-    round-robin order from ``start`` (an output's ``rr`` pointer).
-
-    Indexing a ``_want`` head bitmask with it replaces the object
-    kernel's ``for j in range(ports)`` scan for the first FIFO head that
-    wants an output: element 0 is the round-robin winner, and the rest
-    are the fallbacks a bubble fabric walks when a head is cells-blocked.
-    Immutable and shared by every simulator with ``ports`` ports.
-    """
-    return tuple(
-        tuple(
-            tuple(
-                ip for ip in (
-                    (start + j) % ports for j in range(ports)
-                ) if mask >> ip & 1
-            )
-            for mask in range(1 << ports)
+#: ``_RR_WINNER[start][mask]``: the first input port set in ``mask`` in
+#: round-robin order from ``start`` (an output's ``rr`` pointer).  One
+#: lookup of a ``_want`` head bitmask replaces the object kernel's
+#: ``for j in range(ports)`` scan for the first FIFO head that wants an
+#: output.  An empty mask has no winner (-1); every lookup site tests the
+#: mask first.
+_RR_WINNER = tuple(
+    tuple(
+        next(
+            (ip for ip in (
+                (start + j) % NUM_PORTS for j in range(NUM_PORTS)
+            ) if mask >> ip & 1),
+            -1,
         )
-        for start in range(ports)
+        for mask in range(1 << NUM_PORTS)
     )
+    for start in range(NUM_PORTS)
+)
 
 
 def _cycles_before_due(t_ns: float, tick: int, period: int, k: int) -> int:
@@ -148,7 +141,6 @@ class ArraySimulator(Simulator):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         n = self.network.topology.num_routers
-        ports = self.network.num_ports
         # Scheduler lanes (see module docstring).
         self._occ_total = [0] * n  # resident flits per router
         self._res_total = [0] * n  # outstanding reservations per router
@@ -156,8 +148,7 @@ class ArraySimulator(Simulator):
         # Head-of-line bitmask per router and output port: bit ``ip`` of
         # ``_want[rid][port]`` is set iff input FIFO ``ip``'s head packet
         # routes to that output.
-        self._want = [[0] * ports for _ in range(n)]
-        self._rr_order = _rr_order_table(ports)
+        self._want = [[0] * NUM_PORTS for _ in range(n)]
         # Open-span records (one per router, folded lazily).
         self._in_span = [False] * n
         self._span_kind = [0] * n
@@ -171,14 +162,6 @@ class ArraySimulator(Simulator):
         # that only wait out their own busy windows are never
         # interrupted by neighbour activity.
         self._span_block = [0] * n
-        # Feeder tables (see Network): which router's which output port
-        # feeds each of our inputs.  Pop-side span interrupts go through
-        # these rather than assuming link symmetry — on bidirectional
-        # fabrics they coincide with (neighbor_port, opposite), but on
-        # the unidirectional ring the feeder of an input is the upstream
-        # interface, not the one our own output port points at.
-        self._feed_rid = self.network.feed_rid
-        self._feed_port = self.network.feed_port
         # Shadow accumulators for EnergyAccountant.add_hop: plain-list
         # sums flushed into the NumPy ledgers once at end-of-run.  Each
         # ledger cell starts at 0.0 and receives the identical sequence
@@ -191,11 +174,10 @@ class ArraySimulator(Simulator):
         # Dynamic hop energy per rail voltage — a pure function of the
         # five mode voltages, precomputed off the hot path.
         self._dyn_e = {m.voltage: dynamic_energy_pj(m.voltage) for m in MODES}
-        # The one span-eligibility predicate, for every span kind: no
-        # timeline sampler (it observes every fire) and, when features
-        # are extracted, a router-local feature set (see module
+        # The one span-eligibility predicate, for every span kind: when
+        # features are extracted, a router-local feature set (see module
         # docstring).
-        self._span_ok = self.timeline is None and (
+        self._span_ok = (
             not self._needs_features or self.policy.feature_set.router_local
         )
         # Router whose fire is in progress: the same-tick tie-break of
@@ -327,8 +309,9 @@ class ArraySimulator(Simulator):
         in_span = self._in_span
         span_block = self._span_block
         routers = self.network.routers
-        for _, feeder_rid, fport in self.network.in_links[router.rid]:
-            # ``fport`` is the feeder's output port toward us.
+        for _, feeder_rid, fport in self.network.links[router.rid]:
+            # Links are bidirectional: each neighbour feeds us, and
+            # ``fport`` is its output port toward us.
             if in_span[feeder_rid] and span_block[feeder_rid] >> fport & 1:
                 self._interrupt_span(routers[feeder_rid], tick)
 
@@ -450,16 +433,13 @@ class ArraySimulator(Simulator):
         route_tab = self._route_tab
         links = self._links
         nbr_port = self._nbr_port
-        feed_rid = self._feed_rid
-        feed_port = self._feed_port
-        ports = self._num_ports
-        mc = self._min_cells
-        cell_cap = self._cell_cap
+        ports = NUM_PORTS
+        opposite = OPPOSITE
         occ_total = self._occ_total
         res_total = self._res_total
         busy_max = self._busy_max
         want = self._want
-        rr_order = self._rr_order
+        rr_win = _RR_WINNER
         in_span = self._in_span
         span_kind = self._span_kind
         span_k = self._span_k
@@ -479,7 +459,6 @@ class ArraySimulator(Simulator):
         horizon = self.horizon_tick
         cap = self._cap_tick
         stop = cap if horizon is None or cap < horizon else horizon
-        timeline = self.timeline
         stats = self.stats
         record_delivery = stats.record_delivery
         add_wake_event = self.accountant.add_wake_event
@@ -594,7 +573,7 @@ class ArraySimulator(Simulator):
                             raise SimulationError(
                                 f"secure refcount underflow on router {rid}"
                             )
-                        # Precomputed fabric routing (_route).
+                        # Precomputed XY routing (_route).
                         out_port = route_tab[rid][core_router[packet.dst_core]]
                         packet.out_port = out_port
                         if was_empty:
@@ -626,22 +605,20 @@ class ArraySimulator(Simulator):
                         obusy = router.out_busy_until
                         rr = router.rr
                         period = router.cur_period
-                        frid_row = feed_rid[rid]
-                        fport_row = feed_port[rid]
+                        nbr_row = nbr_port[rid]
                         voltage = router.mode.voltage
                         e_hop = dyn_e[voltage]
                         used = 0
                         # 2a. Ejection (inlined _eject + buffer.pop).
                         m = wrow[LOCAL]
                         if m and obusy[LOCAL] <= tick:
-                            ip = rr_order[rr[LOCAL]][m][0]
+                            ip = rr_win[rr[LOCAL]][m]
                             used = 1 << ip
                             buf = bufs[ip]
                             queue = buf.queue
                             packet = queue.popleft()
                             length = packet.length
                             buf.occupancy -= length
-                            buf.cells -= 1
                             if buf.occupancy < 0:
                                 raise SimulationError(
                                     "buffer occupancy went negative"
@@ -675,11 +652,11 @@ class ArraySimulator(Simulator):
                             if not live and horizon is None:
                                 drain_check = True
                             rr[LOCAL] = (ip + 1) % ports
-                            up = frid_row[ip]
+                            up = nbr_row[ip]
                             if (
                                 up >= 0
                                 and in_span[up]
-                                and span_block[up] >> fport_row[ip] & 1
+                                and span_block[up] >> opposite[ip] & 1
                             ):
                                 # Freed space unblocks an upstream span
                                 # that relied on this input being full.
@@ -696,135 +673,113 @@ class ArraySimulator(Simulator):
                                 blocked |= 1 << port
                                 continue
                             nbuf = nbr.in_buffers[opp]
-                            for ip in rr_order[rr[port]][m]:
-                                # Bubble flow control (torus/ring): a
-                                # cells-blocked head does NOT block the
-                                # output (``continue``, not ``break``) —
-                                # continuing traffic may still use the
-                                # bubble entering traffic must leave.
-                                if (
-                                    mc is not None
-                                    and cell_cap - nbuf.cells
-                                    < mc[port][ip]
+                            ip = rr_win[rr[port]][m]
+                            buf = bufs[ip]
+                            queue = buf.queue
+                            packet = queue[0]
+                            length = packet.length
+                            if (
+                                nbuf.capacity - nbuf.occupancy
+                                - nbuf.reserved < length
+                            ):
+                                blocked |= 1 << port
+                                continue
+                            if fault_links:
+                                if faults.link_transfer_fails(
+                                    packet.retries, length
                                 ):
-                                    continue
-                                buf = bufs[ip]
-                                queue = buf.queue
-                                packet = queue[0]
-                                length = packet.length
-                                if (
-                                    nbuf.capacity - nbuf.occupancy
-                                    - nbuf.reserved < length
-                                ):
-                                    blocked |= 1 << port
-                                    break
-                                if fault_links:
-                                    if faults.link_transfer_fails(
-                                        packet.retries, length
-                                    ):
-                                        packet.retries += 1
-                                        done = tick + length * period
-                                        if wormhole:
-                                            tt = packet.tail_tick + period
-                                            if tt > done:
-                                                done = tt
-                                        obusy[port] = done
-                                        if done > busy_max[rid]:
-                                            busy_max[rid] = done
-                                        stats.link_faults += 1
-                                        stats.flits_retransmitted += length
-                                        self.accountant.add_retransmit(
-                                            rid, voltage, length
-                                        )
-                                        break
-                                    packet.retries = 0
-                                nbuf.reserved += length
-                                nbuf.cells += 1
-                                res_total[nbr_id] += length
-                                queue.popleft()
-                                buf.occupancy -= length
-                                buf.cells -= 1
-                                if buf.occupancy < 0:
-                                    raise SimulationError(
-                                        "buffer occupancy went negative"
+                                    packet.retries += 1
+                                    done = tick + length * period
+                                    if wormhole:
+                                        tt = packet.tail_tick + period
+                                        if tt > done:
+                                            done = tt
+                                    obusy[port] = done
+                                    if done > busy_max[rid]:
+                                        busy_max[rid] = done
+                                    stats.link_faults += 1
+                                    stats.flits_retransmitted += length
+                                    self.accountant.add_retransmit(
+                                        rid, voltage, length
                                     )
-                                occ_total[rid] -= length
-                                bit = 1 << ip
-                                wrow[port] ^= bit
-                                if queue:
-                                    h = queue[0].out_port
-                                    wrow[h] |= bit
-                                    unknown |= 1 << h
-                                used |= bit
-                                done = tick + length * period
-                                if wormhole:
-                                    tt = packet.tail_tick + period
-                                    if tt > done:
-                                        done = tt
-                                    commit_tick = tick + period
-                                    packet.tail_tick = done
-                                else:
-                                    commit_tick = done
-                                obusy[port] = done
-                                if done > busy_max[rid]:
-                                    busy_max[rid] = done
-                                packet.hops += 1
-                                arr_seq += 1
-                                heappush(
-                                    nbr.arrivals,
-                                    (commit_tick, arr_seq, opp, packet),
+                                    continue
+                                packet.retries = 0
+                            nbuf.reserved += length
+                            res_total[nbr_id] += length
+                            queue.popleft()
+                            buf.occupancy -= length
+                            if buf.occupancy < 0:
+                                raise SimulationError(
+                                    "buffer occupancy went negative"
                                 )
-                                if in_span[nbr_id]:
-                                    # The in-flight arrival only
-                                    # perturbs elided cycles at ticks
-                                    # >= its commit: earlier HELD/PLAIN
-                                    # cycles stay no-ops with it
-                                    # pending (it cannot commit, and
-                                    # R-Idle is already false there);
-                                    # WAKEUP countdowns never read
-                                    # arrivals.  IDLE spans cannot
-                                    # receive grants at all (we hold
-                                    # their secure), but interrupt
-                                    # defensively.
-                                    nk = span_kind[nbr_id]
-                                    if nk == _SPAN_IDLE:
-                                        interrupt(nbr, tick)
-                                    elif nk != _SPAN_WAKE:
-                                        nxt_n = nbr.next_event_tick
-                                        p_n = span_period[nbr_id]
-                                        if nxt_n - p_n >= commit_tick:
-                                            # Truncate in place: drop
-                                            # the elided cycles at or
-                                            # after the commit, so the
-                                            # next live fire is exactly
-                                            # the object kernel's first
-                                            # fire >= commit_tick —
-                                            # still on the router's own
-                                            # period grid, no off-grid
-                                            # refire needed.
-                                            drop = (
-                                                nxt_n - commit_tick
-                                            ) // p_n
-                                            span_k[nbr_id] -= drop
-                                            nxt_n -= drop * p_n
-                                            nbr.next_event_tick = nxt_n
-                                            heappush(
-                                                heap, (nxt_n, nbr_id)
-                                            )
-                                dyn_acc[rid] += e_hop * length
-                                hops_acc[rid] += length
-                                router.epoch_flits_out += length
-                                if router.track_ports:
-                                    router.flits_out_port[port] += length
-                                rr[port] = (ip + 1) % ports
-                                up = frid_row[ip]
-                                if (
-                                    up >= 0
-                                    and in_span[up]
-                                    and span_block[up] >> fport_row[ip] & 1
-                                ):
-                                    interrupt(routers[up], tick)
-                                break
+                            occ_total[rid] -= length
+                            bit = 1 << ip
+                            wrow[port] ^= bit
+                            if queue:
+                                h = queue[0].out_port
+                                wrow[h] |= bit
+                                unknown |= 1 << h
+                            used |= bit
+                            done = tick + length * period
+                            if wormhole:
+                                tt = packet.tail_tick + period
+                                if tt > done:
+                                    done = tt
+                                commit_tick = tick + period
+                                packet.tail_tick = done
+                            else:
+                                commit_tick = done
+                            obusy[port] = done
+                            if done > busy_max[rid]:
+                                busy_max[rid] = done
+                            packet.hops += 1
+                            arr_seq += 1
+                            heappush(
+                                nbr.arrivals,
+                                (commit_tick, arr_seq, opp, packet),
+                            )
+                            if in_span[nbr_id]:
+                                # The in-flight arrival only perturbs
+                                # elided cycles at ticks >= its commit:
+                                # earlier HELD/PLAIN cycles stay no-ops
+                                # with it pending (it cannot commit, and
+                                # R-Idle is already false there); WAKEUP
+                                # countdowns never read arrivals.  IDLE
+                                # spans cannot receive grants at all (we
+                                # hold their secure), but interrupt
+                                # defensively.
+                                nk = span_kind[nbr_id]
+                                if nk == _SPAN_IDLE:
+                                    interrupt(nbr, tick)
+                                elif nk != _SPAN_WAKE:
+                                    nxt_n = nbr.next_event_tick
+                                    p_n = span_period[nbr_id]
+                                    if nxt_n - p_n >= commit_tick:
+                                        # Truncate in place: drop the
+                                        # elided cycles at or after the
+                                        # commit, so the next live fire is
+                                        # exactly the object kernel's first
+                                        # fire >= commit_tick — still on
+                                        # the router's own period grid, no
+                                        # off-grid refire needed.
+                                        drop = (nxt_n - commit_tick) // p_n
+                                        span_k[nbr_id] -= drop
+                                        nxt_n -= drop * p_n
+                                        nbr.next_event_tick = nxt_n
+                                        heappush(heap, (nxt_n, nbr_id))
+                            dyn_acc[rid] += e_hop * length
+                            hops_acc[rid] += length
+                            router.epoch_flits_out += length
+                            if router.track_ports:
+                                router.flits_out_port[port] += length
+                            rr[port] = (ip + 1) % ports
+                            up = nbr_row[ip]
+                            if (
+                                up >= 0
+                                and in_span[up]
+                                and span_block[up] >> opposite[ip] & 1
+                            ):
+                                interrupt(routers[up], tick)
                     # 2c. NI injection (inlined _inject).
                     q = router.inject_queue
                     pos = router.inject_pos
@@ -851,12 +806,11 @@ class ArraySimulator(Simulator):
                                 queue = buf.queue
                                 was_empty = not queue
                                 buf.occupancy += length
-                                buf.cells += 1
                                 queue.append(packet)
                                 occ_total[rid] += length
                                 router.inject_pos = pos + 1
                                 self.entries_remaining -= 1
-                                # Precomputed fabric routing (_route).
+                                # Precomputed XY routing (_route).
                                 out_port = route_tab[rid][core_router[dst]]
                                 packet.out_port = out_port
                                 if was_empty:
@@ -1078,49 +1032,22 @@ class ArraySimulator(Simulator):
                                             blk |= 1 << port
                                             continue
                                         # Re-scan: replay next cycle's
-                                        # head-of-line scan for this port
-                                        # in round-robin order.  On a
-                                        # bubble fabric a cells-blocked
-                                        # head is skipped (``continue``
-                                        # in the allocation too), so any
-                                        # later wanting head may still
-                                        # take the grant; cells free only
-                                        # via a downstream pop, which
-                                        # interrupts us like a capacity
-                                        # block.
+                                        # allocation for this port.
                                         nbuf = nbr.in_buffers[opp]
-                                        for ip in rr_order[rr[port]][
-                                            wrow[port]
-                                        ]:
-                                            if (
-                                                mc is not None
-                                                and cell_cap - nbuf.cells
-                                                < mc[port][ip]
-                                            ):
-                                                continue
-                                            if (
-                                                nbuf.capacity
-                                                - nbuf.occupancy
-                                                - nbuf.reserved
-                                                < bufs[ip].queue[0].length
-                                            ):
-                                                # Capacity-blocked: space
-                                                # frees only via a
-                                                # downstream pop, which
-                                                # interrupts us.
-                                                blk |= 1 << port
-                                                break
-                                            k = 0  # grantable next cycle
-                                            break
-                                        else:
-                                            # Every wanting head was
-                                            # cells-blocked (bubble
-                                            # fabrics only): unblocks
-                                            # only via a downstream pop.
+                                        ip = rr_win[rr[port]][wrow[port]]
+                                        if (
+                                            nbuf.capacity
+                                            - nbuf.occupancy
+                                            - nbuf.reserved
+                                            < bufs[ip].queue[0].length
+                                        ):
+                                            # Capacity-blocked: space
+                                            # frees only via a downstream
+                                            # pop, which interrupts us.
                                             blk |= 1 << port
                                             continue
-                                        if k == 0:
-                                            break
+                                        k = 0  # grantable next cycle
+                                        break
                             if k > 0:
                                 inj_blocked = False
                                 q = router.inject_queue
@@ -1217,10 +1144,6 @@ class ArraySimulator(Simulator):
                 else:
                     mult += gated_span(router, tick)
 
-            if timeline is not None:
-                self.now_tick = tick
-                self.now_ns = now_ns
-                timeline.maybe_sample(self)
             nxt = tick + router.cur_period * mult
             router.next_event_tick = nxt
             heappush(heap, (nxt, rid))

@@ -11,15 +11,6 @@ flits.  A transfer is admitted in two steps:
 
 ``occupancy + reserved <= capacity`` is an invariant enforced here and
 exercised by the property-based tests.
-
-Alongside the flit counters the buffer tracks ``cells`` — resident or
-reserved *packets* (one cell per packet regardless of flit length).
-Bubble fabrics (torus, ring — see :mod:`repro.noc.fabrics`) gate grants
-on free cells to keep their buffer rings deadlock-free; on mesh/cmesh
-the counter is maintained but never consulted.  ``cells`` rises at
-reservation (and at NI injection, which skips the reserve step) and
-falls at pop; commit converts a reservation in place and leaves it
-unchanged.
 """
 
 from __future__ import annotations
@@ -33,7 +24,7 @@ from repro.noc.packet import Packet
 class InputBuffer:
     """A flit-granular FIFO for one input port."""
 
-    __slots__ = ("capacity", "occupancy", "reserved", "cells", "queue")
+    __slots__ = ("capacity", "occupancy", "reserved", "queue")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -41,7 +32,6 @@ class InputBuffer:
         self.capacity = capacity
         self.occupancy = 0
         self.reserved = 0
-        self.cells = 0
         self.queue: deque[Packet] = deque()
 
     @property
@@ -59,13 +49,12 @@ class InputBuffer:
         return self.free >= length
 
     def reserve(self, length: int) -> None:
-        """Hold ``length`` flit slots (one packet cell) for an in-flight packet."""
+        """Hold ``length`` flit slots for an in-flight packet."""
         if length > self.free:
             raise SimulationError(
                 f"over-reservation: {length} flits requested, {self.free} free"
             )
         self.reserved += length
-        self.cells += 1
 
     def commit(self, packet: Packet) -> None:
         """Convert a reservation into FIFO occupancy (tail arrived)."""
@@ -90,12 +79,11 @@ class InputBuffer:
         return self.queue[0] if self.queue else None
 
     def pop(self) -> Packet:
-        """Remove and return the head packet (its flits and cell leave)."""
+        """Remove and return the head packet (its flits leave)."""
         if not self.queue:
             raise SimulationError("pop from empty input buffer")
         packet = self.queue.popleft()
         self.occupancy -= packet.length
-        self.cells -= 1
         if self.occupancy < 0:
             raise SimulationError("buffer occupancy went negative")
         return packet

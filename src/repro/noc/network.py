@@ -1,38 +1,29 @@
 """Network assembly: routers + links + network interfaces from a config.
 
-Builds the router array for a fabric (see :mod:`repro.noc.fabrics`),
-precomputes the tables the kernels index on the hot path, and splits a
-:class:`~repro.traffic.trace.Trace` into per-router injection queues
-(each router's NI sees only its own cores' entries, time-sorted):
+Builds the router array for a mesh or cmesh (see
+:mod:`repro.noc.topology`), precomputes the tables the kernels index on
+the hot path, and splits a :class:`~repro.traffic.trace.Trace` into
+per-router injection queues (each router's NI sees only its own cores'
+entries, time-sorted):
 
 * ``links[rid]`` — outgoing ``(out_port, neighbor_rid, input_port)``
-  triples, in ascending output-port order,
+  triples, in ascending output-port order.  Links are bidirectional, so
+  the same triples also name who feeds our inputs: input ``ip`` is fed
+  by ``neighbor_rid``'s output ``OPPOSITE[ip]``,
 * ``neighbor_port[rid][port]`` — flat output-port -> neighbor lookup
   (-1 where no link) for the secure/wake look-ahead,
-* ``route_port[rid][dst_rid]`` — the fabric's deterministic routing
-  decision, fully precomputed so both kernels route with two list
-  indexes instead of coordinate arithmetic,
-* ``feed_rid[rid][ip]`` / ``feed_port[rid][ip]`` — the *feeder* tables:
-  which router's which output port feeds our input ``ip`` (-1 where
-  none).  On bidirectional fabrics the feeder of input ``ip`` is simply
-  the neighbor on port ``ip``; on the unidirectional ring it is the
-  *upstream* interface, which is why the array backend's span interrupts
-  go through these tables rather than assuming link symmetry,
-* ``in_links[rid]`` — the feeder triples in input-port order (the
-  reverse view of ``links``), used to notify senders when a router
-  becomes able to receive,
-* ``min_cells`` / ``cell_capacity`` — the fabric's bubble table (None on
-  mesh/cmesh) and the per-buffer packet-cell capacity
-  ``buffer_depth // max_packet_flits`` that grants are checked against.
+* ``route_port[rid][dst_rid]`` — the XY routing decision, fully
+  precomputed so both kernels route with two list indexes instead of
+  coordinate arithmetic.
 """
 
 from __future__ import annotations
 
 from repro.common.config import SimConfig
-from repro.common.errors import ConfigError, TopologyError
+from repro.common.errors import ConfigError
 from repro.core.modes import Mode
-from repro.noc.fabrics import make_fabric
 from repro.noc.router import Router
+from repro.noc.topology import make_topology
 from repro.traffic.trace import Trace
 
 
@@ -41,84 +32,44 @@ class Network:
 
     def __init__(self, config: SimConfig, initial_mode: Mode) -> None:
         self.config = config
-        self.fabric = make_fabric(
+        self.topology = topology = make_topology(
             config.topology, config.radix, config.concentration
         )
-        #: Legacy alias — the fabric satisfies the old GridTopology API
-        #: surface the rest of the codebase reads (num_routers, coords,
-        #: router_of_core, ...).
-        self.topology = self.fabric
-        num_ports = self.fabric.num_ports
-        num_routers = self.fabric.num_routers
-        self.num_ports = num_ports
-        self.opposite = self.fabric.opposite
+        num_routers = topology.num_routers
+        opposite = topology.opposite
         self.routers = [
-            Router(rid, config.buffer_depth, initial_mode, num_ports)
+            Router(rid, config.buffer_depth, initial_mode)
             for rid in range(num_routers)
         ]
         #: Per-router list of (out_port, neighbor_rid, input_port_there).
         self.links: list[list[tuple[int, int, int]]] = []
         #: Flat port->neighbor lookup (-1 where no link), for the hot path.
         self.neighbor_port: list[list[int]] = []
-        #: Feeder tables: which (router, output port) feeds our input ip.
-        self.feed_rid: list[list[int]] = [
-            [-1] * num_ports for _ in range(num_routers)
-        ]
-        self.feed_port: list[list[int]] = [
-            [-1] * num_ports for _ in range(num_routers)
-        ]
-        opposite = self.fabric.opposite
         for rid in range(num_routers):
             entries = [
                 (port, nbr, opposite[port])
-                for port, nbr in self.fabric.neighbors(rid)
+                for port, nbr in topology.neighbors(rid)
             ]
             self.links.append(entries)
             self.routers[rid].neighbor_ids = [nbr for _, nbr, _ in entries]
-            by_port = [-1] * num_ports
-            for port, nbr, ip in entries:
+            by_port = [-1] * topology.num_ports
+            for port, nbr, _ in entries:
                 by_port[port] = nbr
-                if self.feed_rid[nbr][ip] != -1:
-                    raise TopologyError(
-                        f"fabric {self.fabric.name!r} wires two outputs "
-                        f"into router {nbr} input {ip}"
-                    )
-                self.feed_rid[nbr][ip] = rid
-                self.feed_port[nbr][ip] = port
             self.neighbor_port.append(by_port)
-        #: Feeder triples (in_port, feeder_rid, feeder_out_port) in input-
-        #: port order — for mesh-like fabrics this enumerates the same
-        #: (router, port) pairs as ``links`` does.
-        self.in_links: list[list[tuple[int, int, int]]] = [
-            [
-                (ip, self.feed_rid[rid][ip], self.feed_port[rid][ip])
-                for ip in range(1, num_ports)
-                if self.feed_rid[rid][ip] >= 0
-            ]
-            for rid in range(num_routers)
-        ]
         #: Precomputed deterministic routing: route_port[rid][dst_rid].
-        fabric_route = self.fabric.route_port
+        route = topology.route_port
         self.route_port: list[list[int]] = [
-            [fabric_route(rid, dst) for dst in range(num_routers)]
+            [route(rid, dst) for dst in range(num_routers)]
             for rid in range(num_routers)
         ]
         #: core -> router lookup (plain list for speed).
         self.core_router = [
-            self.fabric.router_of_core(c)
-            for c in range(self.fabric.num_cores)
+            topology.router_of_core(c) for c in range(topology.num_cores)
         ]
         #: Router coordinates (kept for features/telemetry; routing no
         #: longer reads them — it uses the precomputed table above).
-        self.coord_x = [self.fabric.coords(r)[0] for r in range(num_routers)]
-        self.coord_y = [self.fabric.coords(r)[1] for r in range(num_routers)]
-        #: Bubble flow control: the fabric's min-free-cells table (None
-        #: on fabrics whose routing is deadlock-free without it) and the
-        #: uniform per-buffer packet-cell capacity.
-        self.min_cells = self.fabric.min_cells
-        self.cell_capacity = config.buffer_depth // max(
-            config.request_flits, config.response_flits
-        )
+        self.coord_x = [topology.coords(r)[0] for r in range(num_routers)]
+        self.coord_y = [topology.coords(r)[1] for r in range(num_routers)]
 
     def load_trace(self, trace: Trace) -> int:
         """Distribute trace entries to per-router NI queues.

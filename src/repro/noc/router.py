@@ -1,9 +1,8 @@
 """The DozzNoC router model (Figure 1c).
 
-Each router owns one input FIFO per fabric port (LOCAL plus the fabric's
-transport ports — five on mesh/cmesh/torus, two on the ring; see
-:mod:`repro.noc.fabrics`), one output per port with virtual cut-through
-serialization, a round-robin switch
+Each router owns one input FIFO per port (LOCAL plus the four mesh
+directions: :data:`~repro.noc.topology.NUM_PORTS` in all), one output per
+port with virtual cut-through serialization, a round-robin switch
 allocator, a per-router clock (its current V/F mode), and the
 power-management state machine of Figure 3a:
 
@@ -47,7 +46,6 @@ class Router:
     __slots__ = (
         "rid",
         "buffer_depth",
-        "num_ports",
         "capacity_total",
         "in_buffers",
         "arrivals",
@@ -93,17 +91,15 @@ class Router:
         rid: int,
         buffer_depth: int,
         initial_mode: Mode,
-        num_ports: int = NUM_PORTS,
     ) -> None:
         self.rid = rid
         self.buffer_depth = buffer_depth
-        self.num_ports = num_ports
-        self.capacity_total = buffer_depth * num_ports
-        self.in_buffers = [InputBuffer(buffer_depth) for _ in range(num_ports)]
+        self.capacity_total = buffer_depth * NUM_PORTS
+        self.in_buffers = [InputBuffer(buffer_depth) for _ in range(NUM_PORTS)]
         # Min-heap of (arrival_tick, seq, in_port, packet) in-flight transfers.
         self.arrivals: list[tuple[int, int, int, Packet]] = []
-        self.out_busy_until = [0] * num_ports
-        self.rr = [0] * num_ports
+        self.out_busy_until = [0] * NUM_PORTS
+        self.rr = [0] * NUM_PORTS
         # Pre-split trace entries: (t_ns, src_core, dst_core, kind) ascending.
         self.inject_queue: list[tuple[float, int, int, int]] = []
         self.inject_pos = 0
@@ -141,8 +137,8 @@ class Router:
         self.turbo_counter = 0
 
         self.track_ports = False
-        self.occ_port_sums = [0.0] * num_ports
-        self.flits_out_port = [0] * num_ports
+        self.occ_port_sums = [0.0] * NUM_PORTS
+        self.flits_out_port = [0] * NUM_PORTS
         self.neighbor_ids: list[int] = []
 
         # Energy residency, accumulated in ticks and flushed to the
@@ -277,8 +273,8 @@ class Router:
         self.epoch_switches = 0
         self.epoch_flits_out = 0
         if self.track_ports:
-            self.occ_port_sums = [0.0] * self.num_ports
-            self.flits_out_port = [0] * self.num_ports
+            self.occ_port_sums = [0.0] * NUM_PORTS
+            self.flits_out_port = [0] * NUM_PORTS
 
     # ------------------------------------------------------------------ #
     # Arrival queue helpers

@@ -120,7 +120,6 @@ class Simulator:
         trace: Trace,
         policy: "PowerPolicy",
         collect_features: bool = False,
-        timeline=None,
         audit=None,
         faults: "FaultConfig | FaultScheduler | None" = None,
         telemetry=None,
@@ -128,7 +127,6 @@ class Simulator:
         self.config = config
         self.trace = trace
         self.policy = policy
-        self.timeline = timeline
         self.collect_features = collect_features
         self.epoch_cycles = config.epoch_cycles
         self.t_idle = config.t_idle
@@ -185,15 +183,6 @@ class Simulator:
         fs = policy.feature_set
         self._needs_features = collect_features or policy.proactive
         if self._needs_features and fs.needs_port_tracking:
-            if self.network.num_ports != NUM_PORTS:
-                from repro.common.errors import ConfigError
-
-                raise ConfigError(
-                    f"feature set {fs.name!r} tracks {NUM_PORTS} mesh ports "
-                    f"but the {config.topology!r} fabric has "
-                    f"{self.network.num_ports}; use a router-local feature "
-                    "set (e.g. reduced) on this fabric"
-                )
             for r in self.network.routers:
                 r.track_ports = True
 
@@ -204,12 +193,6 @@ class Simulator:
         self._links = self.network.links
         self._nbr_port = self.network.neighbor_port
         self._route_tab = self.network.route_port
-        self._num_ports = self.network.num_ports
-        # Bubble flow control (torus/ring): the fabric's min-free-cells
-        # table (None on mesh/cmesh — the grant path then never reads
-        # cells) and the per-buffer packet-cell capacity.
-        self._min_cells = self.network.min_cells
-        self._cell_cap = self.network.cell_capacity
 
         if config.horizon_ns is not None:
             self.horizon_tick: int | None = ns_to_ticks(config.horizon_ns)
@@ -372,7 +355,6 @@ class Simulator:
         routers = self.network.routers
         horizon = self.horizon_tick
         cap = self._cap_tick
-        timeline = self.timeline
         fire = self._fire
         heappop = heapq.heappop
         heappush = heapq.heappush
@@ -394,8 +376,6 @@ class Simulator:
             self.now_tick = tick
             self.now_ns = tick / base
             fire(router, tick)
-            if timeline is not None:
-                timeline.maybe_sample(self)
             nxt = tick + router.cur_period
             router.next_event_tick = nxt
             heappush(heap, (nxt, router.rid))
@@ -524,7 +504,7 @@ class Simulator:
             if router.track_ports:
                 depth = router.buffer_depth
                 sums = router.occ_port_sums
-                for p in range(self._num_ports):
+                for p in range(NUM_PORTS):
                     sums[p] += bufs[p].occupancy / depth
             router.epoch_cycle += 1
 
@@ -552,7 +532,7 @@ class Simulator:
                 secure(routers[nbr_of[out_port]])
 
     def _route(self, rid: int, dst_router: int) -> int:
-        """Fabric routing: two list indexes into the precomputed table."""
+        """XY routing: two list indexes into the precomputed table."""
         return self._route_tab[rid][dst_router]
 
     def _eject(self, router: Router, tick: int) -> int:
@@ -563,7 +543,7 @@ class Simulator:
         bufs = router.in_buffers
         period = router.cur_period
         start = rr[LOCAL]
-        ports = self._num_ports
+        ports = NUM_PORTS
         for k in range(ports):
             ip = (start + k) % ports
             queue = bufs[ip].queue
@@ -590,7 +570,7 @@ class Simulator:
         return 0
 
     def _forward(self, router: Router, tick: int, used: int) -> None:
-        """Switch allocation for the fabric's directional outputs."""
+        """Switch allocation for the four directional outputs."""
         routers = self.network.routers
         bufs = router.in_buffers
         busy = router.out_busy_until
@@ -602,14 +582,11 @@ class Simulator:
         wormhole = self.wormhole
         add_hop = self.accountant.add_hop
         fault_links = self._fault_links
-        ports = self._num_ports
-        min_cells = self._min_cells
-        cell_cap = self._cell_cap
+        ports = NUM_PORTS
         for port, nbr_id, opp in self._links[rid]:
             if busy[port] > tick:
                 continue
             nbr = routers[nbr_id]
-            mc_row = None if min_cells is None else min_cells[port]
             start = rr[port]
             for k in range(ports):
                 ip = (start + k) % ports
@@ -627,15 +604,6 @@ class Simulator:
                 if nbr.state is not _ACTIVE or nbr.switch_stall:
                     break
                 nbuf = nbr.in_buffers[opp]
-                # Bubble flow control (torus/ring): a grant must leave the
-                # downstream buffer with at least ``mc_row[ip]`` free
-                # packet cells *before* this packet's cell is charged —
-                # 2 when entering a buffer ring, 1 when continuing along
-                # it.  A cells-blocked head does NOT block the output
-                # (``continue``, not ``break``): continuing traffic may
-                # still use the bubble that entering traffic must leave.
-                if mc_row is not None and cell_cap - nbuf.cells < mc_row[ip]:
-                    continue
                 length = packet.length
                 # Inlined InputBuffer.can_accept + reserve (the guard just
                 # performed is exactly reserve()'s over-reservation check).
@@ -658,7 +626,6 @@ class Simulator:
                         break
                     packet.retries = 0
                 nbuf.reserved += length
-                nbuf.cells += 1
                 bufs[ip].pop()
                 used |= 1 << ip
                 done = tick + length * period
@@ -705,7 +672,6 @@ class Simulator:
             packet.tail_tick = tick + length * router.cur_period
         # Inlined reserve-then-commit on the buffer we just space-checked.
         buf.occupancy += length
-        buf.cells += 1
         buf.queue.append(packet)
         router.inject_pos = pos + 1
         self.entries_remaining -= 1
@@ -763,16 +729,13 @@ def run_simulation(
     trace: Trace,
     policy: "PowerPolicy",
     collect_features: bool = False,
-    timeline=None,
     audit=None,
     faults=None,
     telemetry=None,
 ) -> SimResult:
     """One-call convenience wrapper around :class:`Simulator`.
 
-    ``timeline`` may be a :class:`repro.noc.timeline.TimelineSampler` to
-    record periodic global-state snapshots during the run.  ``audit`` may
-    be ``True`` (default invariant auditor) or an
+    ``audit`` may be ``True`` (default invariant auditor) or an
     :class:`repro.validate.InvariantAuditor`; audits raise
     :class:`repro.common.errors.AuditError` on any conservation violation
     and never change results.  ``faults`` may be a
@@ -794,7 +757,7 @@ def run_simulation(
     else:
         sim_cls = Simulator
     sim = sim_cls(
-        config, trace, policy, collect_features, timeline,
+        config, trace, policy, collect_features,
         audit=audit, faults=faults, telemetry=telemetry,
     )
     return sim.run()

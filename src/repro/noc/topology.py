@@ -4,7 +4,10 @@ Both topologies are 2-D grids of routers with five ports each: a LOCAL
 port (to the attached core(s) / network interface) and four directional
 ports.  The concentrated mesh attaches ``concentration`` cores per router
 (the paper uses 4), halving the grid in each dimension for the same core
-count.
+count.  Routing is XY dimension order (:meth:`GridTopology.route_port`),
+which is deadlock-free by turn restriction alone: it forbids every Y->X
+turn, so the channel dependency graph is acyclic (see
+``docs/architecture.md``).
 
 Routers are indexed row-major: router ``r`` sits at
 ``(x, y) = (r % radix, r // radix)``.  Cores live on their own square grid
@@ -26,8 +29,10 @@ NUM_PORTS = 5
 
 PORT_NAMES = ("LOCAL", "NORTH", "EAST", "SOUTH", "WEST")
 
-#: Port on the neighbouring router that one of our output ports feeds.
-OPPOSITE = {NORTH: SOUTH, SOUTH: NORTH, EAST: WEST, WEST: EAST}
+#: ``OPPOSITE[p]``: the input port on the neighbouring router that our
+#: output port ``p`` feeds (links are bidirectional, so it is also the
+#: port the neighbour reaches us through).  LOCAL maps to itself.
+OPPOSITE = (LOCAL, SOUTH, WEST, NORTH, EAST)
 
 
 @dataclass(frozen=True)
@@ -36,6 +41,9 @@ class GridTopology:
 
     radix: int
     concentration: int = 1
+
+    num_ports = NUM_PORTS
+    opposite = OPPOSITE
 
     def __post_init__(self) -> None:
         if self.radix < 2:
@@ -103,6 +111,26 @@ class GridTopology:
         ax, ay = self.coords(a)
         bx, by = self.coords(b)
         return abs(ax - bx) + abs(ay - by)
+
+    def route_port(self, rid: int, dst_rid: int) -> int:
+        """XY DOR: correct X (east/west), then Y (south/north), then eject."""
+        if rid == dst_rid:
+            return LOCAL
+        radix = self.radix
+        x, y = rid % radix, rid // radix
+        dx, dy = dst_rid % radix, dst_rid // radix
+        if x < dx:
+            return EAST
+        if x > dx:
+            return WEST
+        if y < dy:
+            return SOUTH
+        return NORTH
+
+    def next_router(self, rid: int, dst_rid: int) -> int | None:
+        """Look-ahead: the downstream router, or ``None`` when ejecting."""
+        port = self.route_port(rid, dst_rid)
+        return None if port == LOCAL else self.neighbor(rid, port)
 
     # ------------------------------------------------------------------ #
     # Core grid

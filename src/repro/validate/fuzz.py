@@ -1,9 +1,8 @@
 """Randomized differential fuzzing of the simulation kernel.
 
-Each *trial* draws a small random configuration (a topology from every
-registered fabric — mesh, cmesh, torus, ring — plus buffer depths, packet
-lengths, epoch size, switching mode, optional horizon) and a random
-trace, then runs **all five policies** three ways:
+Each *trial* draws a small random configuration (a mesh or a cmesh,
+plus buffer depths, packet lengths, epoch size, switching mode, optional
+horizon) and a random trace, then runs **all five policies** three ways:
 
 1. **serial** — a direct :class:`~repro.noc.simulator.Simulator` run with
    a full :class:`~repro.validate.invariants.InvariantAuditor` attached,
@@ -46,7 +45,6 @@ from repro.exec.cache import RunCache
 from repro.exec.pool import SimTask, run_sim_tasks
 from repro.experiments.runner import MODEL_NAMES, ModelMetrics
 from repro.faults import FaultConfig
-from repro.noc.fabrics import FABRIC_NAMES
 from repro.noc.simulator import Simulator
 from repro.traffic.trace import KIND_REQUEST, KIND_RESPONSE, Trace
 from repro.validate.invariants import InvariantAuditor, write_artifact
@@ -117,42 +115,28 @@ def build_trial(
     master_seed: int,
     index: int,
     faults: bool = False,
-    fabrics: tuple[str, ...] | None = None,
 ) -> FuzzTrial:
     """Draw trial ``index``'s configuration and trace, deterministically.
 
-    ``fabrics`` restricts the topology draw to a subset of the registered
-    fabric names (default: all of :data:`~repro.noc.fabrics.FABRIC_NAMES`).
-    The draw indexes into the *requested* pool, so a restricted session is
-    deterministic in its own right but follows a different schedule from
-    an unrestricted one.  ``faults`` additionally draws a random
+    ``faults`` additionally draws a random
     :class:`FaultConfig` applied to every leg of the trial.  That draw
     happens *after* all earlier draws, so disabling the flag keeps trials
     bit-identical to the historical schedule for the same
     ``(master_seed, index)``.
     """
     rng = np.random.default_rng((master_seed, index))
-    pool = FABRIC_NAMES if fabrics is None else tuple(fabrics)
-    topology = pool[int(rng.integers(0, len(pool)))]
-    if topology == "cmesh":
-        radix, concentration = 2, 4
-    elif topology == "ring":
-        # radix**2 interfaces on one unidirectional cycle; keep it short
-        # enough that every trial still drains inside the safety cap.
-        radix, concentration = int(rng.integers(2, 4)), 1
+    if rng.random() < 0.25:
+        topology, radix, concentration = "cmesh", 2, 4
     else:
-        radix, concentration = int(rng.integers(2, 5)), 1
+        topology, radix, concentration = "mesh", int(rng.integers(2, 5)), 1
     request_flits = int(rng.integers(1, 3))
     response_flits = int(rng.integers(2, 6))
     longest = max(request_flits, response_flits)
-    # Bubble fabrics need two max-length packet cells per input buffer
-    # (resident packet + deadlock-avoidance bubble).
-    min_depth = 2 * longest if topology in ("torus", "ring") else longest
     config = SimConfig(
         topology=topology,
         radix=radix,
         concentration=concentration,
-        buffer_depth=min_depth + int(rng.integers(0, 5)),
+        buffer_depth=longest + int(rng.integers(0, 5)),
         request_flits=request_flits,
         response_flits=response_flits,
         epoch_cycles=int(rng.integers(20, 150)),
@@ -227,7 +211,6 @@ def run_fuzz(
     progress: Callable[[str], None] | None = None,
     faults: bool = False,
     backend_differential: bool = False,
-    fabrics: tuple[str, ...] | None = None,
 ) -> FuzzReport:
     """Run a fuzz session and return its report.
 
@@ -255,9 +238,6 @@ def run_fuzz(
         Re-run every clean serial task on the array kernel
         (``backend="array"``) and require identical ``ModelMetrics`` —
         the object-vs-array bit-identity leg.
-    fabrics:
-        Restrict each trial's topology draw to these registered fabric
-        names (default: all of them).
     """
     report = FuzzReport(master_seed=seed, trials_run=0, runs=0, epoch_audits=0)
     indices = [replay] if replay is not None else list(range(trials))
@@ -266,7 +246,7 @@ def run_fuzz(
     with tempfile.TemporaryDirectory(prefix="fuzz-runcache-") as tmp:
         cache = RunCache(Path(tmp))
         for index in indices:
-            trial = build_trial(seed, index, faults=faults, fabrics=fabrics)
+            trial = build_trial(seed, index, faults=faults)
             report.trials_run += 1
             ok_serial = _serial_leg(trial, report, artifact_dir)
             if ok_serial:

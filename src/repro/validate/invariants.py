@@ -34,12 +34,6 @@ principles at every epoch boundary and at end-of-run and raises
   interrupts and end-of-run rollbacks,
 * **monotone fire ticks** — simulated time never runs backwards and no
   router's next firing is scheduled in the past,
-* **ring bubble** — on bubble fabrics (torus, ring: see
-  :mod:`repro.noc.fabrics`) every directed buffer ring retains at least
-  one free packet cell, the structural condition that makes wraparound
-  routing deadlock-free,
-* **cell conservation** — each input buffer's packet-cell counter equals
-  its resident packets plus the in-flight arrivals reserved into it,
 * **progress watchdog** — while packets are live, the global progress
   vector (injections, deliveries, secure ledger, retransmissions, NI
   backlog) may not freeze for longer than a generous tick window; a
@@ -138,8 +132,6 @@ class InvariantAuditor:
         self._check_epoch_bounds(sim)
         self._check_secure_counts(sim, require_zero=False)
         self._check_fault_accounting(sim)
-        self._check_ring_bubble(sim)
-        self._check_cells(sim)
         self._check_progress(sim)
 
     def on_end(self, sim: "Simulator", drained: bool) -> None:
@@ -154,8 +146,6 @@ class InvariantAuditor:
         self._check_residency(sim)
         if drained:
             self._check_drained(sim)
-        self._check_ring_bubble(sim)
-        self._check_cells(sim)
 
     # ------------------------------------------------------------------ #
     # Individual checks
@@ -362,58 +352,6 @@ class InvariantAuditor:
                 f"corrupted feature vectors that reached a proactive "
                 f"decision ({stats.features_corrupted} corrupted in total)",
             )
-        self.checks_passed += 1
-
-    def _check_ring_bubble(self, sim: "Simulator") -> None:
-        """Bubble flow control's structural deadlock-freedom condition.
-
-        On a bubble fabric every directed ring of input buffers must
-        retain at least one free packet cell at all times: entry into a
-        ring requires 2 free cells, continuing requires 1, so the sum of
-        occupied-or-reserved cells around any ring never reaches the
-        ring's cell capacity.  A full ring is exactly the circular-wait
-        state wraparound links make possible.
-        """
-        net = sim.network
-        if net.min_cells is None:
-            self.checks_passed += 1
-            return
-        routers = net.routers
-        cell_capacity = net.cell_capacity
-        for ring in net.fabric.rings():
-            held = 0
-            for rid, in_port in ring:
-                held += routers[rid].in_buffers[in_port].cells
-            limit = len(ring) * cell_capacity
-            if held >= limit:
-                self._fail(
-                    sim, "ring-bubble",
-                    f"bubble lost: ring through "
-                    f"{[rid for rid, _ in ring[:4]]}... holds {held} packet "
-                    f"cells of {limit} with no free cell remaining",
-                )
-        self.checks_passed += 1
-
-    def _check_cells(self, sim: "Simulator") -> None:
-        """Each buffer's packet-cell counter matches ground truth.
-
-        A cell is charged at reservation (or NI injection) and released
-        at pop, so at any audit point ``cells`` must equal the resident
-        packets plus the in-flight arrivals heading for that input port.
-        """
-        for r in sim.network.routers:
-            pending = [0] * len(r.in_buffers)
-            for _, _, in_port, _ in r.arrivals:
-                pending[in_port] += 1
-            for port, buf in enumerate(r.in_buffers):
-                expected = len(buf.queue) + pending[port]
-                if buf.cells != expected:
-                    self._fail(
-                        sim, "cell-conservation",
-                        f"router {r.rid} port {port}: cell counter "
-                        f"{buf.cells} != {len(buf.queue)} resident + "
-                        f"{pending[port]} in-flight packets",
-                    )
         self.checks_passed += 1
 
     def _check_progress(self, sim: "Simulator") -> None:

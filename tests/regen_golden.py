@@ -43,18 +43,6 @@ _MESH4 = {
     "epoch_cycles": 100,
 }
 
-#: The bubble fabrics (see docs/fabrics.md): wraparound torus and the
-#: routerless unidirectional ring.  Both need ``buffer_depth`` of two
-#: max-length packets for cell-based bubble flow control.
-_TORUS4 = {
-    "topology": "torus", "radix": 4, "concentration": 1,
-    "epoch_cycles": 100, "buffer_depth": 10,
-}
-_RING3 = {
-    "topology": "ring", "radix": 3, "concentration": 1,
-    "epoch_cycles": 100, "buffer_depth": 10,
-}
-
 #: The paper's second configuration at quick scale: a 2x2 concentrated
 #: mesh with four cores per router (``repro_all.cmesh_sim("quick")``).
 _CMESH2 = {
@@ -102,14 +90,6 @@ def golden_cases() -> list[dict]:
     # Every policy, reactive, on one trace (the mode-ladder spread).
     for policy in ("baseline", "pg", "lead", "dozznoc", "turbo"):
         case(f"mesh4-vct-blackscholes-{policy}", policy, "blackscholes")
-    # The new fabrics, every policy: wraparound torus (bubble DOR) and
-    # the routerless ring.  Frozen on both kernels — the equivalence
-    # suite re-runs each committed fingerprint on the object backend.
-    for policy in ("baseline", "pg", "lead", "dozznoc", "turbo"):
-        case(f"torus4-vct-blackscholes-{policy}", policy, "blackscholes",
-             substrate=_TORUS4)
-        case(f"ring3-vct-blackscholes-{policy}", policy, "blackscholes",
-             substrate=_RING3)
     # The paper's two configurations: the quick cmesh under the paper's
     # three headline policies, short runs of the paper's 4x4 cmesh, and
     # one short run at the 8x8 scale.

@@ -45,8 +45,8 @@ from repro.traffic.suite import build_suite
 from repro.traffic.trace import trace_fingerprint
 
 MESH = SimConfig(topology="mesh", radix=4, epoch_cycles=100)
-#: Bubble fabrics need a buffer twice the longest packet.
-RING = SimConfig(topology="ring", radix=3, epoch_cycles=100, buffer_depth=10)
+CMESH = SimConfig(topology="cmesh", radix=2, concentration=4,
+                  epoch_cycles=100)
 
 SINGLE_SETS = [single_feature_set(f) for f in SINGLE_FEATURE_CANDIDATES]
 
@@ -89,12 +89,12 @@ def captures(monkeypatch):
 
 
 @pytest.mark.parametrize("backend", ["object", "array"])
-@pytest.mark.parametrize("fabric", ["mesh", "ring"])
+@pytest.mark.parametrize("topology", ["mesh", "cmesh"])
 @pytest.mark.parametrize("policy", ["dozznoc", "lead", "turbo"])
 def test_sliced_reduced5_equals_single_feature_capture(
-    policy, fabric, backend, captures
+    policy, topology, backend, captures
 ):
-    config = (MESH if fabric == "mesh" else RING).with_(backend=backend)
+    config = (MESH if topology == "mesh" else CMESH).with_(backend=backend)
     trace = generate_benchmark_trace(
         "canneal", num_cores=config.num_cores, duration_ns=1200.0, seed=0
     )

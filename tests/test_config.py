@@ -15,8 +15,10 @@ class TestValidation:
         assert cfg.num_cores == 64
 
     def test_unknown_topology_rejected(self):
-        with pytest.raises(ConfigError):
-            SimConfig(topology="torus")
+        # A generous buffer rules out every other validation failure.
+        for topology in ("torus", "ring"):
+            with pytest.raises(ConfigError, match=f"'{topology}'"):
+                SimConfig(topology=topology, buffer_depth=64)
 
     def test_radix_too_small(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,25 @@
-"""Tests for mesh / concentrated-mesh topologies."""
+"""Tests for mesh / concentrated-mesh topologies.
+
+Beyond the fixed-shape unit tests, three hypothesis properties state the
+routing algebra the kernels and the look-ahead power-gating scheme lean
+on, for meshes and cmeshes of random size:
+
+* **wiring duality** — ``opposite`` names the true reverse link
+  (following a port and its opposite returns home), so every input
+  buffer has exactly one feeder,
+* **route progress** — iterating ``route_port``/``neighbor`` from any
+  source reaches any destination and ejects there, and every hop
+  strictly decreases ``hop_distance`` (minimality and livelock-freedom
+  in one law),
+* **look-ahead consistency** — ``next_router`` equals the neighbor
+  through the routed port (the secure-hold refcount of Section III.B is
+  only sound if the look-ahead names the router the packet will
+  actually cross).
+"""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import TopologyError
 from repro.noc.topology import (
@@ -33,6 +52,7 @@ class TestPorts:
         assert len(PORT_NAMES) == 5
 
     def test_opposites(self):
+        assert OPPOSITE[LOCAL] == LOCAL
         assert OPPOSITE[NORTH] == SOUTH
         assert OPPOSITE[EAST] == WEST
         assert OPPOSITE[SOUTH] == NORTH
@@ -147,3 +167,87 @@ class TestValidation:
     def test_make_topology_unknown(self):
         with pytest.raises(TopologyError):
             make_topology("hypercube", 4)
+
+
+# --------------------------------------------------------------------- #
+# Routing algebra (module docstring), on random meshes and cmeshes
+# --------------------------------------------------------------------- #
+
+
+def _topologies():
+    return st.builds(
+        lambda name, radix: make_topology(
+            name, radix, 4 if name == "cmesh" else 1
+        ),
+        name=st.sampled_from(["mesh", "cmesh"]),
+        radix=st.integers(min_value=2, max_value=5),
+    )
+
+
+def _pair(topo, a_frac, b_frac):
+    """Map two unit fractions onto a (src, dst) router pair."""
+    n = topo.num_routers
+    return min(int(a_frac * n), n - 1), min(int(b_frac * n), n - 1)
+
+
+_FRACTION = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(topo=_topologies())
+def test_wiring_duality(topo):
+    """Leaving router ``r`` through output ``p`` and then leaving the
+    neighbor through ``opposite[p]`` returns to ``r``, and no input
+    buffer is fed by two outputs."""
+    feeders: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for rid in range(topo.num_routers):
+        for port, nbr in topo.neighbors(rid):
+            assert port != LOCAL
+            assert topo.neighbor(rid, port) == nbr
+            pin = topo.opposite[port]
+            feeders.setdefault((nbr, pin), []).append((rid, port))
+            assert topo.neighbor(nbr, pin) == rid, (
+                f"port {port} of router {rid} is not a reverse link"
+            )
+    for (nbr, pin), srcs in feeders.items():
+        assert len(srcs) == 1, (
+            f"input ({nbr}, {pin}) fed by multiple outputs: {srcs}"
+        )
+
+
+@settings(max_examples=80, deadline=None)
+@given(topo=_topologies(), a=_FRACTION, b=_FRACTION)
+def test_reachability_and_route_progress(topo, a, b):
+    """Following the route reaches dst; hop_distance falls every hop."""
+    src, dst = _pair(topo, a, b)
+    rid = src
+    remaining = topo.hop_distance(src, dst)
+    for _ in range(topo.num_routers + 1):
+        port = topo.route_port(rid, dst)
+        if rid == dst:
+            assert port == LOCAL, "route must eject at the destination"
+            assert remaining == 0
+            return
+        assert port != LOCAL, "route may only eject at the destination"
+        rid = topo.neighbor(rid, port)
+        now = topo.hop_distance(rid, dst)
+        assert now == remaining - 1, (
+            f"hop {src}->{dst} via {rid}: distance {remaining} -> {now}, "
+            "not strictly minimal"
+        )
+        remaining = now
+    raise AssertionError(f"route {src}->{dst} did not terminate")
+
+
+@settings(max_examples=80, deadline=None)
+@given(topo=_topologies(), a=_FRACTION, b=_FRACTION)
+def test_lookahead_consistency(topo, a, b):
+    """next_router == neighbor(rid, route_port) — None iff ejecting."""
+    rid, dst = _pair(topo, a, b)
+    port = topo.route_port(rid, dst)
+    nxt = topo.next_router(rid, dst)
+    if rid == dst:
+        assert port == LOCAL and nxt is None
+    else:
+        assert nxt == topo.neighbor(rid, port)
+        assert nxt is not None and nxt != rid

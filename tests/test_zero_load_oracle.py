@@ -1,4 +1,4 @@
-"""Closed-form zero-load latency oracle for every registered fabric.
+"""Closed-form zero-load latency oracle for the mesh and the cmesh.
 
 A single packet crossing an otherwise idle network under ``baseline``
 (every router always on at mode 7) meets no contention, so its latency
@@ -16,9 +16,9 @@ follows from the route length and the packet length alone:
   ``length`` cycles behind it, giving ``PERIOD * (hops + length + 1)``
   (``tests/test_wormhole.py`` checks the same formula on a mesh).
 
-``hops`` comes from each fabric's ``hop_distance`` (Manhattan on mesh
-and cmesh, wraparound on torus, one direction round the ring), never from
-either simulation kernel, and both kernels must hit the formula exactly.
+``hops`` comes from the topology's ``hop_distance`` (Manhattan distance
+between the two routers), never from either simulation kernel, and both
+kernels must hit the formula exactly.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import pytest
 
 from repro.common.config import SimConfig
 from repro.core.controller import make_policy
-from repro.noc.fabrics import FABRIC_NAMES, make_fabric
 from repro.noc.simulator import run_simulation
+from repro.noc.topology import make_topology
 from repro.traffic.trace import KIND_REQUEST, KIND_RESPONSE, Trace
 
 #: Base ticks per ns, and base ticks per cycle at the top mode (2.25 GHz).
@@ -38,13 +38,11 @@ PERIOD = 8
 REQUEST_FLITS = 1
 RESPONSE_FLITS = 5
 
-#: (radix, concentration) per fabric: 16 cores each.  cmesh puts four
+#: (radix, concentration) per topology: 16 cores each.  cmesh puts four
 #: cores on each router, so some pairs share a router (zero hops).
 SHAPES = {
     "mesh": (4, 1),
     "cmesh": (2, 4),
-    "torus": (4, 1),
-    "ring": (4, 1),
 }
 
 
@@ -66,7 +64,10 @@ def _pairs(num_cores: int) -> list[tuple[int, int]]:
 
 
 def test_every_fabric_is_covered():
-    assert set(SHAPES) == set(FABRIC_NAMES)
+    """The oracle covers both networks the paper evaluates."""
+    assert set(SHAPES) == {
+        SimConfig.paper_mesh().topology, SimConfig.paper_cmesh().topology
+    }
 
 
 @pytest.mark.parametrize("backend", ["object", "array"])
@@ -76,7 +77,7 @@ def test_single_packet_latency_matches_closed_form(
     topology, switching, backend
 ):
     radix, concentration = SHAPES[topology]
-    fabric = make_fabric(topology, radix, concentration)
+    topo = make_topology(topology, radix, concentration)
     config = SimConfig(
         topology=topology,
         radix=radix,
@@ -88,14 +89,14 @@ def test_single_packet_latency_matches_closed_form(
         backend=backend,
     )
     wrong = []
-    for src, dst in _pairs(fabric.num_cores):
-        hops = fabric.hop_distance(
-            fabric.router_of_core(src), fabric.router_of_core(dst)
+    for src, dst in _pairs(topo.num_cores):
+        hops = topo.hop_distance(
+            topo.router_of_core(src), topo.router_of_core(dst)
         )
         for kind, length in ((KIND_REQUEST, REQUEST_FLITS),
                              (KIND_RESPONSE, RESPONSE_FLITS)):
             trace = Trace.from_entries(
-                [(src, dst, kind, 0.0)], fabric.num_cores, "zero-load"
+                [(src, dst, kind, 0.0)], topo.num_cores, "zero-load"
             )
             result = run_simulation(config, trace, make_policy("baseline"))
             assert result.drained
