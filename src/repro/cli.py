@@ -191,11 +191,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.validate.invariants import InvariantAuditor
 
         auditor = InvariantAuditor(artifact_dir=args.artifact_dir)
-    faults = None
-    if args.faults:
-        from repro.faults import FaultConfig
-
-        faults = FaultConfig.moderate(seed=args.seed)
     if args.profile and not args.telemetry:
         print("dozznoc run: --profile requires --telemetry DIR",
               file=sys.stderr)
@@ -212,8 +207,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     with maybe_cprofile(args.profile) as prof:
         result = run_simulation(config, trace, policy,
-                                audit=auditor, faults=faults,
-                                telemetry=telemetry)
+                                audit=auditor, telemetry=telemetry)
     if telemetry is not None:
         from repro.telemetry import write_series, write_summary
 
@@ -393,7 +387,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         replay=args.replay,
         progress=(None if args.quiet else
                   (lambda line: print(line, flush=True))),
-        faults=args.faults,
         backend_differential=args.differential_backend,
     )
     print(report.summary())
@@ -488,9 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--artifact-dir", default=None,
                        help="where to dump a JSON repro artifact on "
                             "audit failure")
-    p_run.add_argument("--faults", action="store_true",
-                       help="inject the 'moderate' deterministic fault "
-                            "profile (all four fault classes)")
     p_run.add_argument("--telemetry", default=None, metavar="DIR",
                        help="capture per-epoch telemetry and write the "
                             "series/summary artifacts into DIR")
@@ -566,10 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--replay", type=int, default=None, metavar="TRIAL",
                         help="run only this trial index (replay a failure "
                              "artifact's seed/trial pair)")
-    p_fuzz.add_argument("--faults", action="store_true",
-                        help="draw a random fault-injection profile per "
-                             "trial and fuzz the graceful-degradation "
-                             "paths too")
     p_fuzz.add_argument("--quiet", action="store_true",
                         help="suppress per-trial progress lines")
     p_fuzz.add_argument(

@@ -32,9 +32,6 @@ _VERSIONED_MODULES: tuple[str, ...] = (
     "repro.core.modes",
     "repro.core.states",
     "repro.core.thresholds",
-    "repro.faults",
-    "repro.faults.config",
-    "repro.faults.scheduler",
     "repro.noc.array_sim",
     "repro.noc.buffer",
     "repro.noc.network",
@@ -46,7 +43,6 @@ _VERSIONED_MODULES: tuple[str, ...] = (
     "repro.noc.topology",
     "repro.power.accounting",
     "repro.power.dsent",
-    "repro.regulator.reliability",
     "repro.traffic.trace",
 )
 

@@ -99,8 +99,8 @@ class PowerPolicy:
         if self.proactive:
             if features is None:
                 raise ValueError("proactive policy needs epoch features")
-            # Corrupted (non-finite) features legitimately reach here under
-            # fault injection; the caller handles the NaN product.
+            # A non-finite weight or feature gives a NaN product; the
+            # caller falls back to measured IBU.
             with np.errstate(invalid="ignore"):
                 return float(self.weights @ features)
         return router.current_ibu()
@@ -142,9 +142,7 @@ class PowerPolicy:
             return
         if router.state is PowerState.ACTIVE and router.switch_stall == 0:
             sim.settle(router)
-            # The kernel owns the VR interaction: under fault injection
-            # the switch may retry (extra T-Switch stalls) or divert to
-            # max-V/F safe mode before landing.
+            # The kernel owns the switch so telemetry can observe it.
             sim.begin_switch(router, target)
         elif router.state is PowerState.INACTIVE:
             # A gated router re-targets for free: it will pay T-Wakeup into

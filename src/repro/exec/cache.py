@@ -86,6 +86,9 @@ if TYPE_CHECKING:  # pragma: no cover - avoids an exec<->experiments cycle
 #: predate that coverage.  v8: the model
 #: lifecycle tier was retired — ``ModelMetrics`` lost the drift-monitor
 #: counter and run keys lost their ``model=`` and ``online=`` parts.
+#: Still v8 after fault injection was retired: ``ModelMetrics`` lost its
+#: three fault fields and run keys their ``faults=`` part, so older
+#: entries already miss on the key and on the payload's field set.
 SCHEMA_VERSION = 8
 
 
@@ -117,15 +120,12 @@ def run_key(
     weights: np.ndarray | None,
     feature_names: tuple[str, ...],
     feature_set_name: str,
-    faults: "object | None" = None,
     allowed_modes: tuple[int, ...] | None = None,
 ) -> str:
     """The content address of one (policy, trace, config, weights) run.
 
-    ``faults`` is an optional :class:`repro.faults.FaultConfig`; fault
-    injection changes results, so faulted and clean runs of the same
-    task must never share a cache entry.  ``allowed_modes`` restricts the DVFS ladder; it adds a
-    key part only when set, so unrestricted runs keep their keys.
+    ``allowed_modes`` restricts the DVFS ladder; it adds a key part only
+    when set, so unrestricted runs keep their keys.
     """
     parts = [
         f"schema={SCHEMA_VERSION}",
@@ -135,7 +135,6 @@ def run_key(
         f"config={_config_digest_parts(config)}",
         f"trace={trace_fingerprint(trace)}",
         f"weights={_weights_digest(weights)}",
-        f"faults={'none' if faults is None else faults.fingerprint()}",
     ]
     if allowed_modes is not None:
         ladder = sorted(set(allowed_modes))

@@ -45,7 +45,6 @@ from repro.core.controller import make_policy
 from repro.core.features import FULL_FEATURES, REDUCED_FEATURES, FeatureSet
 from repro.exec.cache import RunCache, capture_key, run_cache_for, run_key
 from repro.exec.journal import CampaignJournal
-from repro.faults import FaultConfig
 from repro.ml.ridge import RidgeModel
 from repro.ml.training import (
     DEFAULT_LAMBDAS,
@@ -154,9 +153,6 @@ class SimTask:
     feature_set: str | FeatureSet = REDUCED_FEATURES.name
     audit: bool = False
     artifact_dir: str | None = None
-    #: Optional deterministic fault injection (changes results, so it is
-    #: part of the cache key).
-    faults: FaultConfig | None = None
     #: When set, the worker attaches a telemetry recorder and writes this
     #: task's series + summary into the directory.  Telemetry never
     #: changes results, so it is deliberately **not** part of the cache
@@ -173,7 +169,7 @@ class SimTask:
         fs = resolve_feature_set(self.feature_set)
         return run_key(
             self.policy, self.trace, self.sim, self.weights, fs.names,
-            fs.name, faults=self.faults, allowed_modes=self.allowed_modes,
+            fs.name, allowed_modes=self.allowed_modes,
         )
 
 
@@ -249,8 +245,7 @@ def execute_sim_task(task: SimTask) -> "ModelMetrics":
 
         telemetry = TelemetryRecorder()
     result = run_simulation(
-        task.sim, task.trace, policy, audit=audit, faults=task.faults,
-        telemetry=telemetry,
+        task.sim, task.trace, policy, audit=audit, telemetry=telemetry,
     )
     if telemetry is not None:
         from repro.telemetry import write_series, write_summary

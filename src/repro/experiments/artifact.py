@@ -67,7 +67,7 @@ _MANIFEST_REQUIRED = (
 #: of these can change an experiment's *payload* without changing a
 #: single simulation result, so they join the memo code version on top
 #: of :func:`repro.exec.cache.code_version` (which already covers the
-#: kernel, policies, power model, faults and traces).
+#: kernel, policies, power model and traces).
 #: ``tests/test_memo_modules.py`` asserts that every module repro-all can
 #: import, function-local imports included, is in one of the two sets or
 #: in its short allowlist of modules that never shape a payload.

@@ -47,7 +47,6 @@ from repro.experiments.runner import (
     NormalizedMetrics,
     normalize_to_baseline,
 )
-from repro.faults import FaultConfig
 from repro.ml.training import DEFAULT_LAMBDAS
 from repro.traffic.suite import TraceSuite, suite_for
 
@@ -76,10 +75,6 @@ class CampaignConfig:
     #: Attach invariant auditors (repro.validate) to every evaluation run;
     #: audits raise AuditError on violation and never change results.
     audit: bool = False
-    #: Deterministic fault injection applied to every evaluation run
-    #: (trains on clean runs; see docs/faults.md).  Changes results, so
-    #: it is part of every run's cache key.
-    faults: FaultConfig | None = None
     #: Per-task wall-clock budget in seconds (None = unbounded).  A task
     #: overrunning it raises PoolTimeoutError instead of hanging the
     #: campaign; completed work is already checkpointed.
@@ -311,7 +306,6 @@ def prepare_campaign(
             weights=weights.get(model),
             feature_set=spec,
             audit=campaign.audit,
-            faults=campaign.faults,
             telemetry_dir=(
                 None if campaign.telemetry_dir is None
                 else str(campaign.telemetry_dir)
@@ -360,8 +354,10 @@ def assemble_campaign_result(
 # Deterministic campaign summary artifact
 # ---------------------------------------------------------------------- #
 
-#: Schema tag inside the deterministic summary payload.
-CAMPAIGN_SUMMARY_SCHEMA = 1
+#: Schema tag inside the deterministic summary payload.  v2: the per-run
+#: metrics lost ``forced_wakes``, ``flits_retransmitted`` and
+#: ``vr_safe_mode_entries`` when fault injection was retired.
+CAMPAIGN_SUMMARY_SCHEMA = 2
 
 
 def campaign_summary_payload(result: CampaignResult) -> dict:

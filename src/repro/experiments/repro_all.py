@@ -1,9 +1,9 @@
 """``dozznoc repro-all``: one-command reproduction of every result.
 
 This module owns the declarative registry behind the push-button
-artifact: every paper table/figure plus the fault/telemetry
-extensions, each reduced to one :class:`ReproEntry` whose builder returns
-a plain JSON payload of the shape::
+artifact: every paper table/figure plus the extension studies, each
+reduced to one :class:`ReproEntry` whose builder returns a plain JSON
+payload of the shape::
 
     {"headlines": {...},                  # scalar regression gates
      "table":     {"headers": [...], "rows": [[...], ...]},
@@ -131,7 +131,6 @@ class ReproContext:
         compressed: bool = False,
         sim: SimConfig | None = None,
         models: tuple[str, ...] = MODEL_NAMES,
-        faults=None,
     ) -> CampaignResult:
         """Run (or replay) one campaign; repeated asks share the result.
 
@@ -143,7 +142,7 @@ class ReproContext:
         from repro.experiments.campaign import CampaignConfig, run_campaign
 
         sim = sim or self.scale.sim
-        key = (repr(sim), compressed, models, repr(faults))
+        key = (repr(sim), compressed, models)
         if key not in self._campaigns:
             self._campaigns[key] = run_campaign(
                 CampaignConfig(
@@ -152,7 +151,6 @@ class ReproContext:
                     compressed=compressed,
                     seed=self.scale.seed,
                     models=models,
-                    faults=faults,
                     cache_dir=self.scale.cache_dir,
                     jobs=self.scale.jobs,
                 )
@@ -497,48 +495,6 @@ def _build_ladder(ctx: ReproContext) -> dict:
     }
 
 
-def _build_faults(ctx: ReproContext) -> dict:
-    from repro.experiments.campaign import campaign_summary_payload
-    from repro.faults import FaultConfig
-
-    result = ctx.campaign(
-        models=("baseline", "dozznoc"),
-        faults=FaultConfig.moderate(seed=ctx.scale.seed),
-    )
-    ledger = {
-        "forced_wakes": 0.0,
-        "flits_retransmitted": 0.0,
-        "vr_safe_mode_entries": 0.0,
-        "predictor_fallbacks": 0.0,
-    }
-    rows = []
-    for trace in sorted(result.metrics):
-        m = result.metrics[trace]["dozznoc"]
-        for key in ledger:
-            ledger[key] += float(getattr(m, key))
-        rows.append([
-            trace, m.forced_wakes, m.flits_retransmitted,
-            m.vr_safe_mode_entries, m.predictor_fallbacks,
-            result.normalized[trace]["dozznoc"].static_energy,
-        ])
-    avg = result.average_normalized("dozznoc")
-    return {
-        "headlines": {
-            **ledger,
-            "static_savings": float(avg.static_savings),
-            "dynamic_savings": float(avg.dynamic_savings),
-            "undrained_runs": len(result.undrained_runs()),
-        },
-        "table": {
-            "headers": ["trace", "forced_wakes", "flits_retransmitted",
-                        "vr_safe_mode_entries", "predictor_fallbacks",
-                        "static_energy_ratio"],
-            "rows": rows,
-        },
-        "data": {"summary": campaign_summary_payload(result)},
-    }
-
-
 def _build_telemetry(ctx: ReproContext) -> dict:
     from repro.core.features import REDUCED_FEATURES
     from repro.exec.cache import run_key, telemetry_key
@@ -631,8 +587,6 @@ REPRO_EXPERIMENTS: dict[str, ReproEntry] = {
                    True, _build_buffers),
         ReproEntry("ladder", "DVFS-ladder granularity (extension)",
                    "extension", True, _build_ladder),
-        ReproEntry("faults", "graceful degradation under faults (extension)",
-                   "extension", True, _build_faults),
         ReproEntry("telemetry", "deterministic telemetry counters "
                    "(extension)", "extension", True, _build_telemetry),
     )

@@ -53,11 +53,7 @@ class ModelMetrics:
     mode_distribution: dict[int, float]
     wake_events: float = 0.0
     drained: bool = True
-    # Graceful-degradation ledger (all zero unless the run injected
-    # faults via repro.faults; see docs/faults.md).
-    forced_wakes: float = 0.0
-    flits_retransmitted: float = 0.0
-    vr_safe_mode_entries: float = 0.0
+    #: Epochs whose non-finite prediction fell back to measured IBU.
     predictor_fallbacks: float = 0.0
 
     @classmethod
@@ -76,9 +72,6 @@ class ModelMetrics:
             mode_distribution=result.stats.mode_distribution(),
             wake_events=summary["wake_events"],
             drained=result.drained,
-            forced_wakes=summary["forced_wakes"],
-            flits_retransmitted=summary["flits_retransmitted"],
-            vr_safe_mode_entries=summary["vr_safe_mode_entries"],
             predictor_fallbacks=summary["predictor_fallbacks"],
         )
 

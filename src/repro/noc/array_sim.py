@@ -166,9 +166,7 @@ class ArraySimulator(Simulator):
         # sums flushed into the NumPy ledgers once at end-of-run.  Each
         # ledger cell starts at 0.0 and receives the identical sequence
         # of additions it would have received directly, merely batched,
-        # so the flush is bit-exact.  (``add_retransmit`` stays a direct
-        # call: the auditor cross-checks that ledger mid-run at epoch
-        # boundaries.)
+        # so the flush is bit-exact.
         self._dyn_acc = [0.0] * n
         self._hops_acc = [0] * n
         # Dynamic hop energy per rail voltage — a pure function of the
@@ -226,10 +224,7 @@ class ArraySimulator(Simulator):
         elif kind == _SPAN_GATED:
             router.total_off_cycles += kept
         elif kind == _SPAN_WAKE:
-            if router.wake_stuck:
-                router.watchdog_remaining -= kept
-            else:
-                router.wakeup_remaining -= kept
+            router.wakeup_remaining -= kept
         else:  # PLAIN / HELD / STALL
             f = self._span_f[router.rid]
             if f:
@@ -341,10 +336,7 @@ class ArraySimulator(Simulator):
     def _wake_span(self, router: Router, tick: int) -> int:
         """Elide WAKEUP countdown cycles (the completing cycle stays
         live: it flips the state and must notify blocked neighbours)."""
-        if router.wake_stuck:
-            k = router.watchdog_remaining - 1
-        else:
-            k = router.wakeup_remaining - 1
+        k = router.wakeup_remaining - 1
         c = self.epoch_cycles - router.epoch_cycle - 1
         if c < k:
             k = c
@@ -374,8 +366,6 @@ class ArraySimulator(Simulator):
             self._interrupt_span(router, self.now_tick)
         self.settle(router)
         router.begin_wakeup()
-        if self._faults is not None:
-            self._apply_wakeup_faults(router)
         self.accountant.add_wake_event(router.rid, router.mode)
         if self._telemetry is not None:
             self._telemetry.on_wake_begin(router.rid, self.now_tick)
@@ -462,8 +452,6 @@ class ArraySimulator(Simulator):
         stats = self.stats
         record_delivery = stats.record_delivery
         add_wake_event = self.accountant.add_wake_event
-        fault_links = self._fault_links
-        faults = self._faults
         telemetry = self._telemetry
         interrupt = self._interrupt_span
         notify = self._notify_neighbors
@@ -519,10 +507,7 @@ class ArraySimulator(Simulator):
                     elif kind == _SPAN_GATED:
                         router.total_off_cycles += kept
                     elif kind == _SPAN_WAKE:
-                        if router.wake_stuck:
-                            router.watchdog_remaining -= kept
-                        else:
-                            router.wakeup_remaining -= kept
+                        router.wakeup_remaining -= kept
                     else:  # PLAIN / HELD / STALL
                         f = span_f[rid]
                         if f:
@@ -606,8 +591,7 @@ class ArraySimulator(Simulator):
                         rr = router.rr
                         period = router.cur_period
                         nbr_row = nbr_port[rid]
-                        voltage = router.mode.voltage
-                        e_hop = dyn_e[voltage]
+                        e_hop = dyn_e[router.mode.voltage]
                         used = 0
                         # 2a. Ejection (inlined _eject + buffer.pop).
                         m = wrow[LOCAL]
@@ -684,26 +668,6 @@ class ArraySimulator(Simulator):
                             ):
                                 blocked |= 1 << port
                                 continue
-                            if fault_links:
-                                if faults.link_transfer_fails(
-                                    packet.retries, length
-                                ):
-                                    packet.retries += 1
-                                    done = tick + length * period
-                                    if wormhole:
-                                        tt = packet.tail_tick + period
-                                        if tt > done:
-                                            done = tt
-                                    obusy[port] = done
-                                    if done > busy_max[rid]:
-                                        busy_max[rid] = done
-                                    stats.link_faults += 1
-                                    stats.flits_retransmitted += length
-                                    self.accountant.add_retransmit(
-                                        rid, voltage, length
-                                    )
-                                    continue
-                                packet.retries = 0
                             nbuf.reserved += length
                             res_total[nbr_id] += length
                             queue.popleft()
@@ -886,32 +850,17 @@ class ArraySimulator(Simulator):
                     self.now_tick = tick
                     self.settle(router)
                     router.begin_wakeup()
-                    if faults is not None:
-                        self._apply_wakeup_faults(router)
                     add_wake_event(rid, router.mode)
                     if telemetry is not None:
                         telemetry.on_wake_begin(rid, tick)
 
             else:  # WAKEUP (inlined _fire WAKEUP branch + notify)
-                if router.wake_stuck:
-                    router.watchdog_remaining -= 1
-                    if router.watchdog_remaining <= 0:
-                        router.wake_stuck = False
-                        router.wake_fail_count += 1
-                        router.forced_wakes += 1
-                        stats.forced_wakes += 1
-                        router.finish_wakeup()
-                        if telemetry is not None:
-                            telemetry.on_wake_complete(rid, tick, True)
-                        notify(router, tick)
-                else:
-                    router.wakeup_remaining -= 1
-                    if router.wakeup_remaining <= 0:
-                        router.finish_wakeup()
-                        router.wake_fail_count = 0
-                        if telemetry is not None:
-                            telemetry.on_wake_complete(rid, tick, False)
-                        notify(router, tick)
+                router.wakeup_remaining -= 1
+                if router.wakeup_remaining <= 0:
+                    router.finish_wakeup()
+                    if telemetry is not None:
+                        telemetry.on_wake_complete(rid, tick)
+                    notify(router, tick)
 
             ec = router.epoch_cycle + 1
             router.epoch_cycle = ec
@@ -1178,6 +1127,5 @@ class ArraySimulator(Simulator):
             accountant=self.accountant,
             elapsed_ns=elapsed_ns,
             drained=drained,
-            faults=self._faults,
         )
 

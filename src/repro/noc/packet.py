@@ -53,7 +53,6 @@ class Packet:
         "hops",
         "out_port",
         "tail_tick",
-        "retries",
     )
 
     def __init__(
@@ -77,10 +76,6 @@ class Packet:
         # Wormhole mode: tick at which this packet's tail flit has fully
         # arrived at its current router (caps onward streaming).
         self.tail_tick = 0
-        # Failed (retransmitted) transfer attempts at the current hop;
-        # reset when the packet commits downstream.  Only nonzero under
-        # link-error fault injection (repro.faults).
-        self.retries = 0
 
     @property
     def latency_ns(self) -> float:

@@ -61,10 +61,6 @@ class Router:
         "idle_count",
         "secure_count",
         "total_off_cycles",
-        "wake_stuck",
-        "watchdog_remaining",
-        "wake_fail_count",
-        "forced_wakes",
         "last_settle_tick",
         "next_event_tick",
         "epoch_cycle",
@@ -114,13 +110,6 @@ class Router:
         self.idle_count = 0
         self.secure_count = 0
         self.total_off_cycles = 0
-        # Fault-injection state (inert unless a FaultScheduler is active):
-        # a "stuck" wakeup never completes on its own; the kernel watchdog
-        # counts it down and force-wakes the router when it expires.
-        self.wake_stuck = False
-        self.watchdog_remaining = 0
-        self.wake_fail_count = 0
-        self.forced_wakes = 0
         self.last_settle_tick = 0
         self.next_event_tick = 0
 
@@ -217,8 +206,6 @@ class Router:
         self.state = PowerState.WAKEUP
         self.cur_period = self.mode.period_ticks
         self.wakeup_remaining = self.mode.t_wakeup_cycles
-        self.wake_stuck = False
-        self.watchdog_remaining = 0
         self.epoch_wakes += 1
 
     def finish_wakeup(self) -> None:

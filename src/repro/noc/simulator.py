@@ -37,7 +37,6 @@ from repro.common.config import SimConfig
 from repro.common.errors import SimulationError
 from repro.common.units import BASE_TICKS_PER_NS, ns_to_ticks
 from repro.core.states import PowerState
-from repro.faults import FaultConfig, FaultScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a core<->noc import cycle
     from repro.core.controller import PowerPolicy
@@ -47,7 +46,6 @@ from repro.noc.router import Router
 from repro.noc.stats import NetworkStats
 from repro.noc.topology import LOCAL, NUM_PORTS
 from repro.power.accounting import EnergyAccountant
-from repro.regulator.reliability import SAFE_MODE_INDEX, abort_stall_cycles
 from repro.traffic.trace import KIND_REQUEST, Trace
 
 _ACTIVE = PowerState.ACTIVE
@@ -66,9 +64,6 @@ class SimResult:
     accountant: EnergyAccountant
     elapsed_ns: float
     drained: bool
-    #: The fault scheduler the run used (None for a clean run).  Its
-    #: counters are the order-side ledger of every fault it injected.
-    faults: "FaultScheduler | None" = None
 
     @property
     def throughput_flits_per_ns(self) -> float:
@@ -96,18 +91,7 @@ class SimResult:
             "edp_pj_ns": self.energy_delay_product,
         }
         out.update(self.accountant.summary(self.elapsed_ns))
-        s = self.stats
-        out.update(
-            {
-                "link_faults": float(s.link_faults),
-                "flits_retransmitted": float(s.flits_retransmitted),
-                "forced_wakes": float(s.forced_wakes),
-                "vr_switch_aborts": float(s.vr_switch_aborts),
-                "vr_safe_mode_entries": float(s.vr_safe_mode_entries),
-                "features_corrupted": float(s.features_corrupted),
-                "predictor_fallbacks": float(s.predictor_fallbacks),
-            }
-        )
+        out["predictor_fallbacks"] = float(self.stats.predictor_fallbacks)
         return out
 
 
@@ -121,7 +105,6 @@ class Simulator:
         policy: "PowerPolicy",
         collect_features: bool = False,
         audit=None,
-        faults: "FaultConfig | FaultScheduler | None" = None,
         telemetry=None,
     ) -> None:
         self.config = config
@@ -146,21 +129,6 @@ class Simulator:
         self.total_trace_entries = self.entries_remaining
         self.accountant = EnergyAccountant(self.network.topology.num_routers)
         self.stats = NetworkStats(sample_seed=config.seed)
-
-        # Deterministic fault injection (repro.faults): a FaultConfig is
-        # promoted to a fresh per-run scheduler; the schedule is a pure
-        # function of (fault config, sim config, trace, policy), so
-        # serial, pooled and cached replays see bit-identical faults.
-        if faults is not None and isinstance(faults, FaultConfig):
-            faults = FaultScheduler(faults, self.network.topology.num_routers)
-        self.faults = faults
-        self._faults = faults
-        self._fault_links = (
-            faults is not None and faults.config.link_error_rate > 0.0
-        )
-        self._fault_features = (
-            faults is not None and faults.config.feature_corrupt_rate > 0.0
-        )
 
         self.now_tick = 0
         self.now_ns = 0.0
@@ -253,8 +221,6 @@ class Simulator:
         if router.state is _INACTIVE:
             self.settle(router)
             router.begin_wakeup()
-            if self._faults is not None:
-                self._apply_wakeup_faults(router)
             self.accountant.add_wake_event(router.rid, router.mode)
             if self._telemetry is not None:
                 self._telemetry.on_wake_begin(router.rid, self.now_tick)
@@ -270,63 +236,20 @@ class Simulator:
             )
 
     # ------------------------------------------------------------------ #
-    # Fault injection + graceful degradation (repro.faults)
+    # V/F switching
     # ------------------------------------------------------------------ #
 
-    def _apply_wakeup_faults(self, router: Router) -> None:
-        """Degrade a wakeup that just began, per the fault schedule.
-
-        A *slow* wakeup stretches T-Wakeup by an integer multiplier; a
-        *stuck* wakeup never completes on its own — the watchdog in
-        :meth:`_fire` counts it down and force-wakes the router when the
-        deadline (exponential backoff on repeated failures) expires.
-        """
-        stuck, mult = self._faults.wakeup_outcome(router.rid)
-        if stuck:
-            router.wake_stuck = True
-            router.watchdog_remaining = self._faults.watchdog_deadline(
-                router.wake_fail_count
-            )
-        elif mult > 1:
-            router.wakeup_remaining *= mult
-
     def begin_switch(self, router: Router, target: int) -> None:
-        """Start an active->active V/F switch, subject to VR faults.
+        """Start an active->active V/F switch toward mode ``target``.
 
-        The power policies route every switch request through here so a
-        failed SIMO rail hand-off can be modelled: each aborted attempt
-        burns a full T-Switch stall at the attempted mode
-        (:func:`repro.regulator.reliability.abort_stall_cycles`); once
-        ``vr_max_retries`` retries are exhausted the domain falls back to
-        the max-V/F safe mode, which every rail sustains.
+        The power policies route every switch request through here so
+        telemetry sees each switch that actually changes the mode.
         """
         from repro.core.modes import mode
 
-        faults = self._faults
-        extra_stall = 0
-        if faults is not None and faults.config.vr_fail_rate > 0.0:
-            attempts = 0
-            target_mode = mode(target)
-            while faults.vr_switch_fails():
-                attempts += 1
-                extra_stall += abort_stall_cycles(target_mode)
-                self.stats.vr_switch_aborts += 1
-                if attempts > faults.config.vr_max_retries:
-                    # Retries exhausted: abort the ladder move entirely
-                    # and jump to the always-sustainable safe mode.
-                    faults.note_safe_mode()
-                    self.stats.vr_safe_mode_entries += 1
-                    target = SAFE_MODE_INDEX
-                    break
         prev_index = router.mode.index
         router.begin_switch(mode(target))
-        if extra_stall:
-            # Aborted attempts stall transport even when the final switch
-            # is a no-op (safe-mode fallback at a router already at max).
-            router.switch_stall += extra_stall
-        if self._telemetry is not None and (
-            router.mode.index != prev_index or extra_stall
-        ):
+        if self._telemetry is not None and router.mode.index != prev_index:
             self._telemetry.on_switch(
                 router.rid, self.now_tick, prev_index, router.mode.index,
                 router.switch_stall,
@@ -406,7 +329,6 @@ class Simulator:
             accountant=self.accountant,
             elapsed_ns=elapsed_ns,
             drained=drained,
-            faults=self._faults,
         )
 
     # ------------------------------------------------------------------ #
@@ -434,38 +356,16 @@ class Simulator:
                 or router.inject_pending(now_ns)
             ):
                 router.begin_wakeup()
-                if self._faults is not None:
-                    self._apply_wakeup_faults(router)
                 self.accountant.add_wake_event(router.rid, router.mode)
                 if self._telemetry is not None:
                     self._telemetry.on_wake_begin(router.rid, tick)
             router.epoch_cycle += 1
         elif state is _WAKEUP:
-            if router.wake_stuck:
-                # Degraded handshake: the wakeup is not progressing.  The
-                # watchdog burns its deadline down and then force-wakes
-                # the router (Power Punch's secure() guarantee must hold
-                # even on faulty wake circuitry).
-                router.watchdog_remaining -= 1
-                if router.watchdog_remaining <= 0:
-                    router.wake_stuck = False
-                    router.wake_fail_count += 1
-                    router.forced_wakes += 1
-                    self.stats.forced_wakes += 1
-                    router.finish_wakeup()
-                    if self._telemetry is not None:
-                        self._telemetry.on_wake_complete(
-                            router.rid, tick, True
-                        )
-            else:
-                router.wakeup_remaining -= 1
-                if router.wakeup_remaining <= 0:
-                    router.finish_wakeup()
-                    router.wake_fail_count = 0
-                    if self._telemetry is not None:
-                        self._telemetry.on_wake_complete(
-                            router.rid, tick, False
-                        )
+            router.wakeup_remaining -= 1
+            if router.wakeup_remaining <= 0:
+                router.finish_wakeup()
+                if self._telemetry is not None:
+                    self._telemetry.on_wake_complete(router.rid, tick)
             router.epoch_cycle += 1
         else:  # ACTIVE
             bufs = router.in_buffers
@@ -581,7 +481,6 @@ class Simulator:
         voltage = mode.voltage
         wormhole = self.wormhole
         add_hop = self.accountant.add_hop
-        fault_links = self._fault_links
         ports = NUM_PORTS
         for port, nbr_id, opp in self._links[rid]:
             if busy[port] > tick:
@@ -609,22 +508,6 @@ class Simulator:
                 # performed is exactly reserve()'s over-reservation check).
                 if nbuf.capacity - nbuf.occupancy - nbuf.reserved < length:
                     break
-                if fault_links:
-                    if self._faults.link_transfer_fails(packet.retries, length):
-                        # Transfer corrupted in flight: the flits were
-                        # serialized (link stays busy, energy is burned)
-                        # but nothing commits downstream; the packet stays
-                        # queued here and retries next grant.
-                        packet.retries += 1
-                        done = tick + length * period
-                        if wormhole:
-                            done = max(done, packet.tail_tick + period)
-                        busy[port] = done
-                        self.stats.link_faults += 1
-                        self.stats.flits_retransmitted += length
-                        self.accountant.add_retransmit(rid, voltage, length)
-                        break
-                    packet.retries = 0
                 nbuf.reserved += length
                 bufs[ip].pop()
                 used |= 1 << ip
@@ -699,21 +582,6 @@ class Simulator:
                     features,
                     router.current_ibu(),
                 )
-            if self._fault_features:
-                # Corrupt the copy handed to the policy, not the training
-                # capture: a flipped sensor poisons this epoch's decision,
-                # and the controller must catch the non-finite prediction.
-                corrupted = self._faults.maybe_corrupt_features(features)
-                if corrupted is not None:
-                    features = corrupted
-                    self.stats.features_corrupted += 1
-                    # Only a proactive DVFS decision actually *consumes*
-                    # the poisoned vector (a reactive epoch reuses
-                    # measured IBU), so this classification is exact;
-                    # the auditor checks predictor_fallbacks against it
-                    # one-for-one.
-                    if self.policy.proactive and self.policy.uses_dvfs:
-                        self.stats.features_corrupted_predicting += 1
         self.policy.on_epoch(router, self, features)
         if self._telemetry is not None:
             # Post-decision, pre-reset: epoch accumulators are still live
@@ -730,7 +598,6 @@ def run_simulation(
     policy: "PowerPolicy",
     collect_features: bool = False,
     audit=None,
-    faults=None,
     telemetry=None,
 ) -> SimResult:
     """One-call convenience wrapper around :class:`Simulator`.
@@ -738,12 +605,9 @@ def run_simulation(
     ``audit`` may be ``True`` (default invariant auditor) or an
     :class:`repro.validate.InvariantAuditor`; audits raise
     :class:`repro.common.errors.AuditError` on any conservation violation
-    and never change results.  ``faults`` may be a
-    :class:`repro.faults.FaultConfig` (or a pre-built scheduler) enabling
-    deterministic fault injection; the run then exercises the graceful
-    degradation paths but remains bit-reproducible for a given config.
-    ``telemetry`` may be a :class:`repro.telemetry.TelemetryRecorder`;
-    recording is read-only and never changes results.
+    and never change results.  ``telemetry`` may be a
+    :class:`repro.telemetry.TelemetryRecorder`; recording is read-only and
+    never changes results.
 
     ``config.backend`` selects the kernel implementation: ``"object"``
     (this module) or ``"array"`` (:mod:`repro.noc.array_sim`, imported
@@ -758,6 +622,6 @@ def run_simulation(
         sim_cls = Simulator
     sim = sim_cls(
         config, trace, policy, collect_features,
-        audit=audit, faults=faults, telemetry=telemetry,
+        audit=audit, telemetry=telemetry,
     )
     return sim.run()

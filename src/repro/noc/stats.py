@@ -46,31 +46,8 @@ class NetworkStats:
     mode_selections: dict[int, int] = field(
         default_factory=lambda: {m: 0 for m in range(3, 8)}
     )
-    # ------------------------------------------------------------------ #
-    # Fault / graceful-degradation ledger (all zero without fault
-    # injection; audited against the FaultScheduler's order-side counters
-    # by repro.validate).
-    # ------------------------------------------------------------------ #
-    #: Transfers that corrupted in flight and were retried.
-    link_faults: int = 0
-    #: Flits re-serialized by those retries (also charged dynamic energy).
-    flits_retransmitted: int = 0
-    #: Stuck wakeups rescued by the kernel watchdog.
-    forced_wakes: int = 0
-    #: VR mode-switch attempts that aborted (each burned a T-Switch stall).
-    vr_switch_aborts: int = 0
-    #: Switches whose retries ran out, falling back to max-V/F safe mode.
-    vr_safe_mode_entries: int = 0
-    #: Epochs whose feature vector reached the predictor corrupted.
-    features_corrupted: int = 0
-    #: Corrupted vectors that reached a *proactive* DVFS decision — the
-    #: subset of ``features_corrupted`` that must trip exactly one
-    #: fallback (a reactive epoch consumes the corruption without
-    #: predicting).
-    features_corrupted_predicting: int = 0
     #: Epochs where a non-finite prediction fell back to the threshold
-    #: (measured-utilization) policy; the auditor checks it one-for-one
-    #: against ``features_corrupted_predicting``.
+    #: (measured-utilization) policy; the auditor requires it to stay 0.
     predictor_fallbacks: int = 0
     #: Offline-training capture (populated when feature collection is on).
     epoch_records: list[EpochRecord] = field(default_factory=list)

@@ -54,10 +54,6 @@ class EnergyAccountant:
         self.powered_time_ns = np.zeros(num_routers)
         self.flit_hops = np.zeros(num_routers, dtype=np.int64)
         self.wake_events = np.zeros(num_routers, dtype=np.int64)
-        #: Retransmission ledger (link-error fault injection): wasted
-        #: flit serializations and the dynamic energy they burned.
-        self.retx_pj = np.zeros(num_routers)
-        self.retx_flits = np.zeros(num_routers, dtype=np.int64)
         #: Wall-clock residency per active mode index (3-7), per router (ns).
         self.mode_time_ns: dict[int, np.ndarray] = {
             idx: np.zeros(num_routers) for idx in MODE_BY_INDEX
@@ -85,17 +81,6 @@ class EnergyAccountant:
         self.dynamic_pj[router] += dynamic_energy_pj(voltage) * flits
         self.flit_hops[router] += flits
 
-    def add_retransmit(self, router: int, voltage: float, flits: int) -> None:
-        """Charge dynamic energy for a failed (retransmitted) transfer.
-
-        The corrupted flits were serialized over the link and discarded,
-        so their switching energy is real but buys no delivery — it lands
-        in a dedicated ledger *and* the dynamic total, making degraded
-        runs honestly more expensive.
-        """
-        self.retx_pj[router] += dynamic_energy_pj(voltage) * flits
-        self.retx_flits[router] += flits
-
     def add_wake_event(self, router: int, target_mode: Mode) -> None:
         """Charge the break-even wakeup cost for one gating exit."""
         cycles = target_mode.t_breakeven_cycles
@@ -122,10 +107,8 @@ class EnergyAccountant:
 
     @property
     def total_dynamic_pj(self) -> float:
-        """Total dynamic energy: delivered flits, ML labels, retransmits."""
-        return float(
-            self.dynamic_pj.sum() + self.ml_pj.sum() + self.retx_pj.sum()
-        )
+        """Total dynamic energy: delivered flits and ML labels."""
+        return float(self.dynamic_pj.sum() + self.ml_pj.sum())
 
     @property
     def total_pj(self) -> float:
@@ -164,6 +147,4 @@ class EnergyAccountant:
             "gated_fraction": self.gated_fraction(elapsed_ns),
             "flit_hops": float(self.flit_hops.sum()),
             "wake_events": float(self.wake_events.sum()),
-            "retx_pj": float(self.retx_pj.sum()),
-            "retx_flits": float(self.retx_flits.sum()),
         }

@@ -31,10 +31,6 @@ from repro.regulator.latency import (
     derive_cycle_costs,
     MATRIX_LABELS,
 )
-from repro.regulator.simo_transient import (
-    SimoConverter,
-    SimoTransientResult,
-)
 from repro.regulator.efficiency import (
     EfficiencyComparison,
     baseline_efficiency,
@@ -59,8 +55,6 @@ __all__ = [
     "worst_case_wakeup_ns",
     "derive_cycle_costs",
     "MATRIX_LABELS",
-    "SimoConverter",
-    "SimoTransientResult",
     "EfficiencyComparison",
     "baseline_efficiency",
     "simo_efficiency",

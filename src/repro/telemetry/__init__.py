@@ -2,8 +2,8 @@
 
 ``repro.telemetry`` gives every run a window the end-of-run summary
 cannot: per-epoch, per-router time series (mode decisions, buffer
-occupancy, predicted vs measured utilization, wakeup/switch latencies,
-fault-ledger deltas) plus mergeable counter/gauge/histogram aggregates,
+occupancy, predicted vs measured utilization, wakeup/switch latencies)
+plus mergeable counter/gauge/histogram aggregates,
 wall-clock phase timers and optional cProfile capture.
 
 Usage::

@@ -2,7 +2,7 @@
 
 One telemetry directory holds, per run (or per campaign task):
 
-* ``series-<label>.jsonl`` — header line + time-ordered epoch/fault rows,
+* ``series-<label>.jsonl`` — header line + time-ordered epoch rows,
 * ``summary-<label>.json`` — the mergeable metric-set aggregate,
 * ``summary-<label>.prom`` — the same aggregate as Prometheus text
   exposition (counters, gauges, classic cumulative ``_bucket`` series),
@@ -19,11 +19,7 @@ import re
 from pathlib import Path
 
 from repro.telemetry.metrics import MetricSet
-from repro.telemetry.recorder import (
-    EPOCH_ROW_FIELDS,
-    FAULT_ROW_FIELDS,
-    TelemetryRecorder,
-)
+from repro.telemetry.recorder import EPOCH_ROW_FIELDS, TelemetryRecorder
 
 #: Bump when the serialized series/summary layout changes.
 TELEMETRY_SCHEMA = 1
@@ -47,7 +43,7 @@ def safe_label(label: str) -> str:
 def write_series(
     directory: str | Path, label: str, recorder: TelemetryRecorder
 ) -> Path:
-    """Write one run's epoch/fault series as JSONL; returns the path."""
+    """Write one run's epoch series as JSONL; returns the path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"series-{safe_label(label)}.jsonl"
@@ -57,26 +53,12 @@ def write_series(
         "kind": SERIES_KIND,
         "meta": recorder.meta,
         "epoch_fields": list(EPOCH_ROW_FIELDS),
-        "fault_fields": list(FAULT_ROW_FIELDS),
     }
     with path.open("w") as fh:
         fh.write(json.dumps(header) + "\n")
-        # Both row lists are individually tick-ordered; merge-interleave
-        # them so the file reads as one global timeline.
-        ei, fi = 0, 0
-        epochs, faults = recorder.epoch_rows, recorder.fault_rows
-        while ei < len(epochs) or fi < len(faults):
-            take_epoch = fi >= len(faults) or (
-                ei < len(epochs) and epochs[ei][0] <= faults[fi][0]
-            )
-            if take_epoch:
-                row = dict(zip(EPOCH_ROW_FIELDS, epochs[ei]))
-                row["type"] = "epoch"
-                ei += 1
-            else:
-                row = dict(zip(FAULT_ROW_FIELDS, faults[fi]))
-                row["type"] = "faults"
-                fi += 1
+        for values in recorder.epoch_rows:
+            row = dict(zip(EPOCH_ROW_FIELDS, values))
+            row["type"] = "epoch"
             fh.write(json.dumps(row) + "\n")
     return path
 
@@ -224,10 +206,6 @@ def validate_series_lines(lines: list[str], where: str = "") -> list[str]:
                         f"line {lineno}: epoch field {name!r} has type "
                         f"{type(row[name]).__name__}"
                     )
-        elif rtype == "faults":
-            for name in FAULT_ROW_FIELDS:
-                if not isinstance(row.get(name), int):
-                    err(f"line {lineno}: fault row field {name!r} not int")
         else:
             err(f"line {lineno}: unknown row type {rtype!r}")
             continue

@@ -8,7 +8,7 @@ It is designed around the kernel's cost budget:
   executes no telemetry code at all and is bit-identical to a pre-telemetry
   run (proved by ``tests/test_telemetry.py``).
 * **Pre-registered handles on the fast path.**  ``bind()`` allocates every
-  per-router slot (wake-start ticks, fault-ledger snapshot) and registers
+  per-router slot (wake-start ticks, last predictions) and registers
   every counter/histogram **once**; the per-event hooks touch only bound
   attributes and pre-sized lists — no dict lookups, no string formatting.
 * **Read-only.**  Hooks observe kernel state and never mutate it, so a
@@ -18,7 +18,7 @@ The recorder emits two artifacts (written by :mod:`repro.telemetry.io`):
 
 * a per-epoch, per-router JSONL **series** (mode decisions, buffer
   occupancy, predicted vs measured utilization, wakes/switches, off-cycle
-  residency, fault-ledger deltas),
+  residency),
 * a mergeable **summary** (:class:`~repro.telemetry.metrics.MetricSet`)
   of counters, gauges and fixed-bucket histograms plus wall-clock phase
   timers; campaign-level aggregates are exact merges of per-task
@@ -41,12 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.noc.simulator import Simulator
 
 #: Bucket edges (base ticks) for wakeup latency: nominal T-Wakeup spans
-#: ~72-324 ticks across the mode ladder; fault multipliers and watchdog
-#: backoff push the tail out.
+#: ~72-324 ticks across the mode ladder.
 WAKE_LATENCY_BOUNDS = (100, 150, 200, 250, 300, 400, 600, 900, 1400, 2000)
 
 #: Bucket edges (router cycles) for switch stalls: T-Switch is 7-16
-#: cycles; VR-abort retries stack extra stalls on top.
+#: cycles.
 SWITCH_STALL_BOUNDS = (8, 12, 16, 24, 32, 48, 64, 96)
 
 #: Bucket edges (micro-units) for utilization fractions in [0, 1].
@@ -59,13 +58,6 @@ IBU_BOUNDS = (
 PRED_ERROR_BOUNDS = (
     1_000, 5_000, 10_000, 25_000, 50_000, 100_000,
     250_000, 500_000, 1_000_000,
-)
-
-#: Stats fields forming the fault/degradation ledger delta series.
-_FAULT_FIELDS = (
-    "link_faults", "flits_retransmitted", "forced_wakes",
-    "vr_switch_aborts", "vr_safe_mode_entries", "features_corrupted",
-    "predictor_fallbacks",
 )
 
 
@@ -87,8 +79,6 @@ class TelemetryRecorder:
             "epochs_total", "epoch boundaries crossed (all routers)")
         self._c_wakes = m.counter(
             "wake_events_total", "power-gating exits begun")
-        self._c_forced = m.counter(
-            "forced_wakes_total", "stuck wakeups rescued by the watchdog")
         self._c_switches = m.counter(
             "vf_switches_total", "active->active V/F switches begun")
         self._c_pred = m.counter(
@@ -98,7 +88,7 @@ class TelemetryRecorder:
             "observed INACTIVE->ACTIVE wakeup latency (base ticks)")
         self._h_switch = m.histogram(
             "switch_stall_cycles", SWITCH_STALL_BOUNDS,
-            "stall cycles charged per V/F switch (incl. VR-abort retries)")
+            "stall cycles charged per V/F switch")
         self._h_ibu = m.histogram(
             "epoch_ibu_micro", IBU_BOUNDS,
             "measured per-epoch input-buffer utilization (micro-units)")
@@ -121,22 +111,16 @@ class TelemetryRecorder:
             "gated_residency_ticks", "settled power-gated residency (ticks)")
         self._c_off = m.counter(
             "off_cycles_total", "router heartbeat cycles spent gated")
-        self._fault_counters = [
-            m.counter(f"fault_{name}_total", f"run total of stats.{name}")
-            for name in _FAULT_FIELDS
-        ]
         self._phases: dict[str, Counter] = {}
 
         # Series rows: plain tuples appended on the epoch path, rendered
         # to dicts only at write time.
         self.epoch_rows: list[tuple] = []
-        self.fault_rows: list[tuple] = []
         self.meta: dict = {}
 
         # Per-router handles, allocated in bind().
         self._wake_start: list[int] = []
         self._prev_pred: list[float] = []
-        self._fault_snapshot: tuple[int, ...] = (0,) * len(_FAULT_FIELDS)
         self._bound = False
 
     # ------------------------------------------------------------------ #
@@ -148,7 +132,6 @@ class TelemetryRecorder:
         n = sim.network.topology.num_routers
         self._wake_start = [-1] * n
         self._prev_pred = [float("nan")] * n
-        self._fault_snapshot = (0,) * len(_FAULT_FIELDS)
         self._bound = True
         self.meta.update(
             policy=sim.policy.name,
@@ -169,10 +152,8 @@ class TelemetryRecorder:
         self._c_wakes.value += 1
         self._wake_start[rid] = tick
 
-    def on_wake_complete(self, rid: int, tick: int, forced: bool) -> None:
-        """A waking router reached ACTIVE (``forced`` = watchdog rescue)."""
-        if forced:
-            self._c_forced.value += 1
+    def on_wake_complete(self, rid: int, tick: int) -> None:
+        """A waking router reached ACTIVE."""
         start = self._wake_start[rid]
         if start >= 0:
             self._h_wake.observe(tick - start)
@@ -182,7 +163,7 @@ class TelemetryRecorder:
         self, rid: int, tick: int, from_idx: int, to_idx: int,
         stall_cycles: int,
     ) -> None:
-        """An active->active V/F switch (or VR-abort stall) landed."""
+        """An active->active V/F switch landed."""
         self._c_switches.value += 1
         self._h_switch.observe(stall_cycles)
 
@@ -229,21 +210,6 @@ class TelemetryRecorder:
                 router.epoch_switches, router.total_off_cycles,
             ))
 
-        stats = sim.stats
-        snap = (
-            stats.link_faults, stats.flits_retransmitted,
-            stats.forced_wakes, stats.vr_switch_aborts,
-            stats.vr_safe_mode_entries, stats.features_corrupted,
-            stats.predictor_fallbacks,
-        )
-        if snap != self._fault_snapshot:
-            if self.capture_series:
-                old = self._fault_snapshot
-                self.fault_rows.append(
-                    (tick,) + tuple(n - o for n, o in zip(snap, old))
-                )
-            self._fault_snapshot = snap
-
     def on_end(self, sim: "Simulator", drained: bool) -> None:
         """Fold end-of-run state into the summary aggregates."""
         for r in sim.network.routers:
@@ -254,8 +220,6 @@ class TelemetryRecorder:
         for i in range(3, 8):
             self._mode_sel[i - 3].value += sim.stats.mode_selections[i]
         stats = sim.stats
-        for counter, name in zip(self._fault_counters, _FAULT_FIELDS):
-            counter.value += getattr(stats, name)
         self.meta.update(
             drained=drained,
             final_tick=sim.now_tick,
@@ -295,9 +259,6 @@ EPOCH_ROW_FIELDS = (
     "idle_cycles", "sends", "recvs", "flits_out", "wakes", "switches",
     "off_cycles_total",
 )
-
-#: Column order of one serialized fault-ledger delta row.
-FAULT_ROW_FIELDS = ("tick",) + tuple(f"d_{n}" for n in _FAULT_FIELDS)
 
 
 @contextmanager

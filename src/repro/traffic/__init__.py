@@ -1,5 +1,5 @@
-"""Traffic: the trace format, benchmark-signature generators, synthetic
-patterns, compression, and the paper's 14-trace suite."""
+"""Traffic: the trace format, benchmark-signature generators,
+compression, and the paper's 14-trace suite."""
 
 from repro.traffic.trace import (
     Trace,
@@ -7,7 +7,6 @@ from repro.traffic.trace import (
     KIND_RESPONSE,
     KIND_NAMES,
 )
-from repro.traffic.patterns import PATTERNS, generate_pattern_trace, hotspot
 from repro.traffic.benchmarks import (
     BENCHMARKS,
     BenchmarkSpec,
@@ -29,9 +28,6 @@ __all__ = [
     "KIND_REQUEST",
     "KIND_RESPONSE",
     "KIND_NAMES",
-    "PATTERNS",
-    "generate_pattern_trace",
-    "hotspot",
     "BENCHMARKS",
     "BenchmarkSpec",
     "TRAIN_BENCHMARKS",

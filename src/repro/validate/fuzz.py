@@ -16,8 +16,8 @@ With ``--differential-backend`` a fourth leg re-runs every clean serial
 task on the structure-of-arrays kernel (``backend="array"``,
 :mod:`repro.noc.array_sim`) with its own auditor attached and demands
 ``ModelMetrics`` equality against the object-kernel run — the randomized
-proof that the two kernels are bit-identical, across all five policies,
-switching modes and fault injection.
+proof that the two kernels are bit-identical, across all five policies
+and both switching modes.
 
 Every leg must produce *identical* :class:`ModelMetrics`; any divergence,
 and any invariant violation, is recorded as a failure with a JSON repro
@@ -44,7 +44,6 @@ from repro.core.features import REDUCED_FEATURES
 from repro.exec.cache import RunCache
 from repro.exec.pool import SimTask, run_sim_tasks
 from repro.experiments.runner import MODEL_NAMES, ModelMetrics
-from repro.faults import FaultConfig
 from repro.noc.simulator import Simulator
 from repro.traffic.trace import KIND_REQUEST, KIND_RESPONSE, Trace
 from repro.validate.invariants import InvariantAuditor, write_artifact
@@ -63,8 +62,6 @@ class FuzzTrial:
     config: SimConfig
     trace: Trace
     weights: np.ndarray | None  # shared by the ML policies when not None
-    #: Deterministic fault injection for every leg (``--faults`` mode).
-    faults: FaultConfig | None = None
 
     def weights_for(self, policy: str) -> np.ndarray | None:
         return self.weights if policy in ML_POLICIES else None
@@ -111,19 +108,8 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-def build_trial(
-    master_seed: int,
-    index: int,
-    faults: bool = False,
-) -> FuzzTrial:
-    """Draw trial ``index``'s configuration and trace, deterministically.
-
-    ``faults`` additionally draws a random
-    :class:`FaultConfig` applied to every leg of the trial.  That draw
-    happens *after* all earlier draws, so disabling the flag keeps trials
-    bit-identical to the historical schedule for the same
-    ``(master_seed, index)``.
-    """
+def build_trial(master_seed: int, index: int) -> FuzzTrial:
+    """Draw trial ``index``'s configuration and trace, deterministically."""
     rng = np.random.default_rng((master_seed, index))
     if rng.random() < 0.25:
         topology, radix, concentration = "cmesh", 2, 4
@@ -167,28 +153,12 @@ def build_trial(
     if rng.random() < 0.5:
         weights = rng.normal(0.0, 0.4, size=len(REDUCED_FEATURES))
         weights[0] = abs(weights[0])  # bias toward plausible utilizations
-    fault_config = None
-    if faults:
-        fault_config = FaultConfig(
-            seed=index,
-            wake_slow_rate=float(rng.uniform(0.0, 0.15)),
-            wake_slow_multiplier=int(rng.integers(2, 6)),
-            wake_stuck_rate=float(rng.uniform(0.0, 0.08)),
-            watchdog_timeout_cycles=int(rng.integers(8, 128)),
-            watchdog_backoff_limit=int(rng.integers(0, 5)),
-            vr_fail_rate=float(rng.uniform(0.0, 0.2)),
-            vr_max_retries=int(rng.integers(0, 4)),
-            link_error_rate=float(rng.uniform(0.0, 0.05)),
-            link_max_retries=int(rng.integers(1, 5)),
-            feature_corrupt_rate=float(rng.uniform(0.0, 0.1)),
-        )
     return FuzzTrial(
         index=index,
         master_seed=master_seed,
         config=config,
         trace=trace,
         weights=weights,
-        faults=fault_config,
     )
 
 
@@ -209,7 +179,6 @@ def run_fuzz(
     artifact_dir: str | Path | None = None,
     replay: int | None = None,
     progress: Callable[[str], None] | None = None,
-    faults: bool = False,
     backend_differential: bool = False,
 ) -> FuzzReport:
     """Run a fuzz session and return its report.
@@ -230,10 +199,6 @@ def run_fuzz(
         Run only this trial index (for replaying a failure artifact).
     progress:
         Optional sink for per-trial progress lines.
-    faults:
-        Draw a random :class:`FaultConfig` per trial and inject it into
-        every leg — the differential then also proves the graceful
-        degradation paths are deterministic and cache-safe.
     backend_differential:
         Re-run every clean serial task on the array kernel
         (``backend="array"``) and require identical ``ModelMetrics`` —
@@ -246,7 +211,7 @@ def run_fuzz(
     with tempfile.TemporaryDirectory(prefix="fuzz-runcache-") as tmp:
         cache = RunCache(Path(tmp))
         for index in indices:
-            trial = build_trial(seed, index, faults=faults)
+            trial = build_trial(seed, index)
             report.trials_run += 1
             ok_serial = _serial_leg(trial, report, artifact_dir)
             if ok_serial:
@@ -297,8 +262,7 @@ def _serial_leg(
         report.runs += 1
         try:
             result = Simulator(
-                trial.config, trial.trace, policy, audit=auditor,
-                faults=trial.faults,
+                trial.config, trial.trace, policy, audit=auditor
             ).run()
         except AuditError as err:
             report.failures.append(
@@ -318,7 +282,6 @@ def _serial_leg(
             sim=trial.config,
             weights=weights,
             audit=True,
-            faults=trial.faults,
         )
         ok[policy_name] = (task, ModelMetrics.from_result(result))
     return ok
@@ -345,10 +308,6 @@ def _record_mismatch(
             "fuzz_master_seed": trial.master_seed,
             "fuzz_trial": trial.index,
             "config": dataclasses.asdict(trial.config),
-            "faults": (
-                None if trial.faults is None
-                else dataclasses.asdict(trial.faults)
-            ),
             "expected": dataclasses.asdict(expected),
             "got": dataclasses.asdict(got),
             "replay": (
@@ -403,8 +362,7 @@ def _backend_leg(
         report.runs += 1
         try:
             result = ArraySimulator(
-                array_config, trial.trace, policy, audit=auditor,
-                faults=trial.faults,
+                array_config, trial.trace, policy, audit=auditor
             ).run()
         except AuditError as err:
             report.failures.append(

@@ -17,15 +17,9 @@ principles at every epoch boundary and at end-of-run and raises
   often as they are placed: the kernel's global placed/released ledger
   matches the per-router refcount sum at every audit and is symmetric
   (placed == released) once the network drains,
-* **fault accounting** — without fault injection every degradation
-  counter is exactly zero; with it, the scheduler's order-side ledger
-  (faults drawn) matches the execution-side ledger (degradations
-  observed): link faults equal retransmissions equal the energy
-  accountant's retransmit flits, every stuck wakeup is either rescued by
-  the watchdog or still pending, VR aborts/safe-modes and corrupted
-  features agree, and a proactive DVFS policy falls back to the
-  threshold rule exactly once per corrupted feature vector that reached
-  a proactive decision,
+* **predictor fallback** — a trained predictor fed the kernel's own
+  (always finite) features never produces a non-finite prediction, so
+  the measured-IBU fallback count stays exactly zero,
 * **residency conservation** — after the end-of-run flush, every router's
   gated + per-mode tick residency tiles the run exactly, and the energy
   accountant's wall-clock view agrees,
@@ -35,9 +29,9 @@ principles at every epoch boundary and at end-of-run and raises
 * **monotone fire ticks** — simulated time never runs backwards and no
   router's next firing is scheduled in the past,
 * **progress watchdog** — while packets are live, the global progress
-  vector (injections, deliveries, secure ledger, retransmissions, NI
-  backlog) may not freeze for longer than a generous tick window; a
-  frozen vector is a deadlock or a livelocked kernel, not congestion.
+  vector (injections, deliveries, secure ledger, NI backlog) may not
+  freeze for longer than a generous tick window; a frozen vector is a
+  deadlock or a livelocked kernel, not congestion.
 
 Audits are read-only: an audited run is bit-identical to an unaudited
 one.  On failure the auditor (optionally) dumps a JSON *repro artifact* —
@@ -131,7 +125,7 @@ class InvariantAuditor:
         self._check_buffers(sim)
         self._check_epoch_bounds(sim)
         self._check_secure_counts(sim, require_zero=False)
-        self._check_fault_accounting(sim)
+        self._check_predictor_fallbacks(sim)
         self._check_progress(sim)
 
     def on_end(self, sim: "Simulator", drained: bool) -> None:
@@ -142,7 +136,7 @@ class InvariantAuditor:
         self._check_buffers(sim)
         self._check_epoch_bounds(sim)
         self._check_secure_counts(sim, require_zero=drained)
-        self._check_fault_accounting(sim)
+        self._check_predictor_fallbacks(sim)
         self._check_residency(sim)
         if drained:
             self._check_drained(sim)
@@ -282,75 +276,13 @@ class InvariantAuditor:
             )
         self.checks_passed += 1
 
-    def _check_fault_accounting(self, sim: "Simulator") -> None:
-        stats = sim.stats
-        faults = sim._faults
-        if faults is None:
-            for name in (
-                "link_faults", "flits_retransmitted", "forced_wakes",
-                "vr_switch_aborts", "vr_safe_mode_entries",
-                "features_corrupted", "features_corrupted_predicting",
-                "predictor_fallbacks",
-            ):
-                if getattr(stats, name) != 0:
-                    self._fail(
-                        sim, "fault-accounting",
-                        f"no fault scheduler attached but stats.{name} is "
-                        f"{getattr(stats, name)} (expected 0)",
-                    )
-            self.checks_passed += 1
-            return
-        acct_retx = int(sim.accountant.retx_flits.sum())
-        pairs = [
-            ("link faults drawn", faults.link_faults,
-             "transfers retried", stats.link_faults),
-            ("retx flits drawn", faults.retx_flits,
-             "flits retransmitted", stats.flits_retransmitted),
-            ("flits retransmitted", stats.flits_retransmitted,
-             "retx flits charged", acct_retx),
-            ("vr aborts drawn", faults.vr_aborts,
-             "switch aborts stalled", stats.vr_switch_aborts),
-            ("safe modes drawn", faults.vr_safe_modes,
-             "safe modes entered", stats.vr_safe_mode_entries),
-            ("features corrupted (sched)", faults.features_corrupted,
-             "features corrupted (stats)", stats.features_corrupted),
-        ]
-        for left_name, left, right_name, right in pairs:
-            if left != right:
-                self._fail(
-                    sim, "fault-accounting",
-                    f"{left_name} ({left}) != {right_name} ({right})",
-                )
-        pending_stuck = sum(
-            1 for r in sim.network.routers if r.wake_stuck
-        )
-        if faults.wakeups_stuck != stats.forced_wakes + pending_stuck:
+    def _check_predictor_fallbacks(self, sim: "Simulator") -> None:
+        fallbacks = sim.stats.predictor_fallbacks
+        if fallbacks != 0:
             self._fail(
-                sim, "fault-accounting",
-                f"stuck wakeups drawn ({faults.wakeups_stuck}) != watchdog "
-                f"force-wakes ({stats.forced_wakes}) + still pending "
-                f"({pending_stuck})",
-            )
-        # Checked exactly: every corrupted vector that reached a
-        # proactive DVFS decision poisons exactly one dot product
-        # (NaN/inf propagate through any weights) and must trip exactly
-        # one fallback.  Corrupted vectors consumed by a *reactive*
-        # epoch legitimately trip none — they are excluded from
-        # ``features_corrupted_predicting`` at the corruption site.
-        if stats.features_corrupted_predicting > stats.features_corrupted:
-            self._fail(
-                sim, "fault-accounting",
-                f"corrupted-while-predicting count "
-                f"({stats.features_corrupted_predicting}) exceeds total "
-                f"corrupted vectors ({stats.features_corrupted})",
-            )
-        if stats.predictor_fallbacks != stats.features_corrupted_predicting:
-            self._fail(
-                sim, "fault-accounting",
-                f"{stats.predictor_fallbacks} threshold "
-                f"fallbacks for {stats.features_corrupted_predicting} "
-                f"corrupted feature vectors that reached a proactive "
-                f"decision ({stats.features_corrupted} corrupted in total)",
+                sim, "predictor-fallback",
+                f"{fallbacks} non-finite prediction(s) fell back to "
+                f"measured IBU (expected 0)",
             )
         self.checks_passed += 1
 
@@ -358,7 +290,7 @@ class InvariantAuditor:
         """Deadlock/livelock watchdog over the global progress vector.
 
         The vector holds every counter that moves when the network does
-        useful (or fault-recovery) work; all of them are maintained
+        useful work; all of them are maintained
         exactly by both kernels at every audit point, span skipping
         included.  While packets are live the vector freezing for longer
         than the window — 64 epochs of the *slowest* clock, far beyond
@@ -377,7 +309,6 @@ class InvariantAuditor:
             stats.packets_delivered,
             sim.secures_placed,
             sim.secures_released,
-            stats.flits_retransmitted,
             sim.entries_remaining,
             sim.packets_live,
         )
@@ -492,19 +423,7 @@ class InvariantAuditor:
                 "epoch_audits": self.epoch_audits,
                 "secures_placed": sim.secures_placed,
                 "secures_released": sim.secures_released,
-                "forced_wakes": stats.forced_wakes,
-                "link_faults": stats.link_faults,
-                "flits_retransmitted": stats.flits_retransmitted,
-                "vr_switch_aborts": stats.vr_switch_aborts,
-                "vr_safe_mode_entries": stats.vr_safe_mode_entries,
-                "features_corrupted": stats.features_corrupted,
-                "features_corrupted_predicting":
-                    stats.features_corrupted_predicting,
                 "predictor_fallbacks": stats.predictor_fallbacks,
             },
-            "faults": (
-                None if sim._faults is None
-                else dataclasses.asdict(sim._faults.config)
-            ),
             "context": self.context,
         }

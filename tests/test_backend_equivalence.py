@@ -10,8 +10,7 @@ it here:
    (the golden suite itself runs the default ``array`` kernel, so the
    two layers together pin both kernels to the same committed bytes),
 2. the fuzzer's deterministic trial generator (a fixed slice of the same
-   schedule the ``--differential-backend`` CLI leg samples), including
-   a fault-injection leg,
+   schedule the ``--differential-backend`` CLI leg samples),
 3. hypothesis-driven random small configs, where the *shape* of the
    config (topology, flit sizes, buffer depth, epoch length, switching)
    is the fuzzed surface,
@@ -77,12 +76,12 @@ def test_object_backend_matches_committed_golden(case):
 # Layer 2: fuzzer trials (same generator as --differential-backend)
 # --------------------------------------------------------------------- #
 
-def _run_both(config, trace, policy_name, weights=None, faults=None):
+def _run_both(config, trace, policy_name, weights=None):
     policy_obj = make_policy(policy_name, weights=weights)
-    ref = Simulator(config, trace, policy_obj, faults=faults).run()
+    ref = Simulator(config, trace, policy_obj).run()
     policy_arr = make_policy(policy_name, weights=weights)
     got = ArraySimulator(
-        config.with_(backend="array"), trace, policy_arr, faults=faults,
+        config.with_(backend="array"), trace, policy_arr
     ).run()
     return ref, got
 
@@ -98,15 +97,14 @@ def _assert_equal(ref, got, label):
 
 
 @pytest.mark.parametrize("index", range(6))
-@pytest.mark.parametrize("leg", ["plain", "faults"])
+@pytest.mark.parametrize("leg", ["plain"])
 def test_fuzz_trials_equivalent(index, leg):
     """A fixed slice of the fuzz schedule, all policies, both kernels."""
-    trial = build_trial(1234, index, faults=(leg == "faults"))
+    trial = build_trial(1234, index)
     for policy_name in MODEL_NAMES:
         ref, got = _run_both(
             trial.config, trial.trace, policy_name,
             weights=trial.weights_for(policy_name),
-            faults=trial.faults,
         )
         _assert_equal(ref, got, f"trial {index}/{leg}/{policy_name}")
 

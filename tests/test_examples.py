@@ -78,11 +78,3 @@ class TestExamplesRun:
         module.main()
         out = capsys.readouterr().out
         assert "power-vs-demand correlation" in out
-
-    def test_synthetic_patterns(self, capsys, monkeypatch):
-        module = load_example("synthetic_patterns.py")
-        monkeypatch.setattr(module, "DURATION_NS", 400.0)
-        monkeypatch.setattr(module, "RATES", (0.01,))
-        module.main()
-        out = capsys.readouterr().out
-        assert "8x8 mesh" in out

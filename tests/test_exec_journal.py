@@ -16,7 +16,7 @@ from repro.exec.journal import CampaignJournal
 from repro.exec.pool import SimTask, run_sim_tasks
 from repro.experiments.campaign import CampaignConfig, run_campaign
 from repro.common.config import SimConfig
-from repro.traffic.patterns import generate_pattern_trace
+from repro.traffic.benchmarks import generate_benchmark_trace
 
 QUICK_SIM = SimConfig(topology="mesh", radix=3, epoch_cycles=60)
 
@@ -178,9 +178,9 @@ class TestCampaignResume:
 class TestIncrementalCheckpointing:
     def test_interrupted_batch_loses_only_inflight_work(self, tmp_path):
         """Completed tasks are cached/journalled the moment they finish."""
-        trace = generate_pattern_trace(
-            "uniform", num_cores=QUICK_SIM.num_cores, duration_ns=500.0,
-            rate_per_core_ns=0.03, seed=0,
+        trace = generate_benchmark_trace(
+            "blackscholes", num_cores=QUICK_SIM.num_cores, duration_ns=500.0,
+            seed=0,
         )
         tasks = [
             SimTask(policy=p, trace=trace, sim=QUICK_SIM)

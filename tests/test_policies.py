@@ -122,6 +122,18 @@ class TestModeSelection:
         picks = [policy.select_mode_index(router, None) for _ in range(6)]
         assert picks == [5] * 6
 
+    def test_non_finite_prediction_falls_back_to_measured_ibu(self, router):
+        sim = _StubSim()
+        policy = make_policy("dozznoc", weights=np.ones(5))
+        router.epoch_cycle = 10
+        router.occ_sum = 1.5  # measured IBU 0.15 -> mode 5
+        features = np.array([1.0, 0.0, np.nan, 0.0, 0.0])
+        assert policy.select_mode_index(router, features, sim) == 5
+        assert sim.stats.predictor_fallbacks == 1
+        # A finite prediction counts no fallback.
+        policy.select_mode_index(router, np.zeros(5), sim)
+        assert sim.stats.predictor_fallbacks == 1
+
 
 class _StubSim:
     """Minimal sim facade for exercising _apply_mode."""

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.power.dsent import dynamic_energy_pj, static_power_w
 from repro.regulator.ldo import LdoModel
 from repro.regulator.simo import dropout_for, rail_for
-from repro.regulator.simo_transient import SimoConverter
 
 
 class TestLdoProperties:
@@ -52,16 +51,6 @@ class TestSimoProperties:
         # With rails every <= 0.2 V apart above 0.8 V, dropout < 0.2 V;
         # at the DVFS grid itself it is <= 0.1 V (tested exactly elsewhere).
         assert dropout_for(v) < 0.2
-
-    @settings(max_examples=20, deadline=None)
-    @given(load=st.floats(min_value=0.005, max_value=0.05))
-    def test_dcm_slot_charge_matches_any_load(self, load):
-        conv = SimoConverter(load_a=load)
-        for rail in conv.rails:
-            i_pk = conv.required_peak_current(rail)
-            t_rise, t_fall = conv.slot_times(rail)
-            q = 0.5 * i_pk * (t_rise + t_fall)
-            assert q == pytest.approx(load / conv.f_sw_hz, rel=1e-9)
 
 
 class TestPowerScalingProperties:

@@ -16,7 +16,6 @@ import pytest
 
 from repro.common.config import SimConfig
 from repro.core.controller import make_policy
-from repro.faults import FaultConfig
 from repro.noc.simulator import run_simulation
 from repro.telemetry import (
     TelemetryRecorder,
@@ -68,18 +67,16 @@ def test_telemetry_off_vs_on_bit_identical(small_config, policy):
     _assert_bit_identical(off, on)
 
 
-def test_telemetry_bit_identical_with_faults_and_proactive(small_config):
+def test_telemetry_bit_identical_with_proactive(small_config):
     trace = _trace("canneal")
     weights = np.array([0.05, 0.01, 0.01, -0.002, 0.8])
-    faults = FaultConfig.moderate(seed=3)
     off = run_simulation(
         small_config, trace, make_policy("dozznoc", weights=weights),
-        faults=faults,
     )
     tel = TelemetryRecorder()
     on = run_simulation(
         small_config, trace, make_policy("dozznoc", weights=weights),
-        faults=FaultConfig.moderate(seed=3), telemetry=tel,
+        telemetry=tel,
     )
     _assert_bit_identical(off, on)
     # The proactive prediction path was actually exercised.
@@ -121,7 +118,7 @@ def test_recorder_counters_track_the_run(recorded):
         m[f"mode_residency_ticks_mode{i}"].value for i in range(3, 8)
     )
     assert residency + m["gated_residency_ticks"].value > 0
-    assert m["fault_forced_wakes_total"].value == result.stats.forced_wakes
+    assert m["wake_events_total"].value == result.accountant.wake_events.sum()
 
 
 def test_recorder_meta_and_series_rows(recorded):
@@ -140,7 +137,7 @@ def test_series_capture_can_be_disabled(small_config):
     tel = TelemetryRecorder(series=False)
     run_simulation(small_config, _trace(), make_policy("dozznoc"),
                    telemetry=tel)
-    assert tel.epoch_rows == [] and tel.fault_rows == []
+    assert tel.epoch_rows == []
     assert tel.metrics.metrics["epochs_total"].value > 0
 
 

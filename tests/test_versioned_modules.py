@@ -118,17 +118,19 @@ def test_telemetry_key_covers_the_recorder():
 
 
 def test_fixpoint_is_strictly_deeper_than_one_level():
-    # Guard the guard: the fixpoint must see modules a one-level scan
-    # misses (e.g. repro.common.rng, reached only via the fault scheduler).
-    level1 = _module_imports("repro.noc.simulator")
-    shallow = {"repro.noc.simulator"} | set(level1)
+    # Guard the guard: the fixpoint must see modules a two-level scan
+    # misses.  The policy layer reaches repro.common.errors only three
+    # hops down (controller -> features -> noc.topology -> errors).
+    root = "repro.core.controller"
+    level1 = _module_imports(root)
+    shallow = {root} | set(level1)
     for module in sorted(level1):
         shallow |= _module_imports(module)
-    deep = _transitive_imports("repro.noc.simulator")
+    deep = _transitive_imports(root)
     assert shallow <= deep
-    assert deep - shallow, (
-        "the transitive fixpoint found nothing beyond two levels; if the "
-        "import graph really did flatten, simplify this test"
+    assert "repro.common.errors" in deep - shallow, (
+        "the transitive fixpoint no longer reaches repro.common.errors "
+        "beyond two levels; pick another module only a deep scan finds"
     )
 
 
