@@ -235,11 +235,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "packets in flight); metrics above measure a truncated run.",
             file=sys.stderr,
         )
-    if args.map:
-        from repro.experiments.heatmap import spatial_report
-
-        print()
-        print(spatial_report(result))
     return 0
 
 
@@ -326,10 +321,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"[{cache.cache_dir}]"
         )
     if result.resumed_tasks:
-        print(
-            f"resumed {result.resumed_tasks} task(s) from a previous "
-            "attempt's checkpoint journal"
-        )
+        print(f"resumed {result.resumed_tasks} task(s) from the run cache")
     if args.summary_out:
         print(f"summary: {args.summary_out}")
     if args.telemetry:
@@ -474,8 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
             "default) or 'object' (reference); bit-identical results"
         ),
     )
-    p_run.add_argument("--map", action="store_true",
-                       help="print per-router heatmaps")
     p_run.add_argument("--audit", action="store_true",
                        help="run invariant audits (epoch + end-of-run)")
     p_run.add_argument("--artifact-dir", default=None,

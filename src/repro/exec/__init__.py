@@ -12,9 +12,10 @@ resumable:
   simulation results and reactive training captures keyed by config,
   trace content, policy, weights and code version, so re-running a
   campaign only simulates what changed (plus the benchmark suites and
-  the telemetry experiment's counters those runs read and report),
-* :mod:`repro.exec.journal` — a crash-safe checkpoint of finished task
-  keys, so a killed campaign reports how much work it resumed.
+  the telemetry experiment's counters those runs read and report).
+  Each run is cached the moment it finishes, so the cache is also the
+  resume record: a killed campaign rerun over the same cache simulates
+  only what had not finished.
 
 The re-exports below resolve on first access, so importing
 :mod:`repro.exec.cache` to read a cache entry loads no kernel.
@@ -29,7 +30,6 @@ _EXPORTS = {
     "code_version": "repro.exec.cache",
     "run_cache_for": "repro.exec.cache",
     "run_key": "repro.exec.cache",
-    "CampaignJournal": "repro.exec.journal",
     "CaptureTask": "repro.exec.pool",
     "PoolHealth": "repro.exec.pool",
     "SimTask": "repro.exec.pool",

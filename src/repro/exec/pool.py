@@ -43,8 +43,8 @@ from repro.common.config import SimConfig
 from repro.common.errors import PoolTimeoutError
 from repro.core.controller import make_policy
 from repro.core.features import FULL_FEATURES, REDUCED_FEATURES, FeatureSet
+from repro.core.modes import MAX_MODE, MIN_MODE
 from repro.exec.cache import RunCache, capture_key, run_cache_for, run_key
-from repro.exec.journal import CampaignJournal
 from repro.ml.ridge import RidgeModel
 from repro.ml.training import (
     DEFAULT_LAMBDAS,
@@ -94,6 +94,9 @@ _CANONICAL_FEATURE_SETS: dict[str, FeatureSet] = {
     REDUCED_FEATURES.name: REDUCED_FEATURES,
     FULL_FEATURES.name: FULL_FEATURES,
 }
+
+#: Every active mode: an ``allowed_modes`` equal to it restricts nothing.
+_FULL_LADDER = frozenset(range(MIN_MODE, MAX_MODE + 1))
 
 #: A feature set given directly, or the name of a canonical one.
 FeatureSpec = "str | FeatureSet"
@@ -165,11 +168,22 @@ class SimTask:
     allowed_modes: tuple[int, ...] | None = None
 
     def cache_key(self) -> str:
-        """Content address of this task's result."""
-        fs = resolve_feature_set(self.feature_set)
+        """Content address of this task's result.
+
+        A run without weights never reads its features, and the full
+        ladder restricts nothing, so neither splits the key: runs that
+        differ only there are one run.
+        """
+        names, name = (), "unread"
+        if self.weights is not None:
+            fs = resolve_feature_set(self.feature_set)
+            names, name = fs.names, fs.name
+        modes = self.allowed_modes
+        if modes is not None and set(modes) == _FULL_LADDER:
+            modes = None
         return run_key(
-            self.policy, self.trace, self.sim, self.weights, fs.names,
-            fs.name, allowed_modes=self.allowed_modes,
+            self.policy, self.trace, self.sim, self.weights, names, name,
+            allowed_modes=modes,
         )
 
 
@@ -408,7 +422,6 @@ def run_sim_tasks(
     tasks: Sequence[SimTask],
     jobs: int | None = 1,
     cache: RunCache | None = None,
-    journal: CampaignJournal | None = None,
     timeout: float | None = None,
     health: PoolHealth | None = None,
 ) -> list[ModelMetrics]:
@@ -417,9 +430,9 @@ def run_sim_tasks(
     Cache hits are returned without simulating; only the misses are
     dispatched.  Results come back in task order regardless of ``jobs``.
 
-    Each miss is cached and journalled **the moment it completes** — not
-    after the whole batch — so an interrupted campaign loses at most the
-    in-flight tasks and resumes from the cache on the next attempt.
+    Each miss is cached **the moment it completes** — not after the
+    whole batch — so an interrupted campaign loses at most the in-flight
+    tasks and resumes from the cache on the next attempt.
     ``timeout`` bounds each task's wall-clock time (see
     :func:`map_tasks`).
     """
@@ -437,8 +450,6 @@ def run_sim_tasks(
                 results[i] = hit
                 if health is not None:
                     health.cached += 1
-                if journal is not None:
-                    journal.mark(key, cached=True)
                 continue
         pending.append((i, task, key))
 
@@ -446,10 +457,7 @@ def run_sim_tasks(
         i, _, key = pending[j]
         results[i] = metrics
         if key is not None:
-            if cache is not None:
-                cache.put(key, metrics)
-            if journal is not None:
-                journal.mark(key, cached=False)
+            cache.put(key, metrics)
 
     map_tasks(
         execute_sim_task,
@@ -492,8 +500,8 @@ def run_capture_tasks(
     processes sharing a cache may drop each other's new members (the
     last write wins whole); a dropped member is recaptured, never
     misread.  Every result is sliced to its own task's feature set and
-    returned in task order.  Captures are never journalled: a campaign's
-    journal and pool-health counters describe its evaluation runs only.
+    returned in task order.  Captures never count as resumed work: a
+    campaign's pool-health counters describe its evaluation runs only.
     """
     tasks = list(tasks)
     entries: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]] = {}

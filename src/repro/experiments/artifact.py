@@ -72,6 +72,8 @@ _MANIFEST_REQUIRED = (
 #: import, function-local imports included, is in one of the two sets or
 #: in its short allowlist of modules that never shape a payload.
 _MEMO_MODULES: tuple[str, ...] = (
+    # Seeds every generated trace; the kernel never imports it.
+    "repro.common.rng",
     # The run cache and the pool slice capture columns and fan out the
     # training λ sweep, so they shape fig9 and epoch_sweep payloads.
     "repro.exec.cache",
@@ -247,9 +249,8 @@ def memo_key(exp_id: str, scale_fingerprint: str) -> str:
 class ExperimentMemo:
     """On-disk memo of whole experiment payloads (see module docstring).
 
-    Lives under ``<cache_dir>/experiments/`` next to the run cache and
-    the checkpoint journal, so one ``--cache-dir`` carries all three
-    resumption layers.
+    Lives under ``<cache_dir>/experiments/`` next to the run cache, so
+    one ``--cache-dir`` carries both resumption layers.
     """
 
     def __init__(self, cache_dir: str | Path) -> None:

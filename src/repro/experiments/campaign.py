@@ -32,7 +32,6 @@ import numpy as np
 from repro.common.config import SimConfig
 from repro.core.features import REDUCED_FEATURES, FeatureSet
 from repro.exec.cache import RunCache, run_cache_for
-from repro.exec.journal import CampaignJournal
 from repro.exec.pool import (
     PoolHealth,
     SimTask,
@@ -96,9 +95,10 @@ class CampaignResult:
     metrics: dict[str, dict[str, ModelMetrics]]  # trace -> model -> metrics
     normalized: dict[str, dict[str, NormalizedMetrics]]
     weights: dict[str, np.ndarray]  # ML model -> trained weight vector
-    #: Evaluation tasks already completed by a previous (interrupted)
-    #: attempt, recovered from the checkpoint journal without
-    #: re-simulating (0 for a fresh or journal-less campaign).
+    #: Evaluation tasks served from the run cache without simulating:
+    #: the work a previous (interrupted) attempt, or any earlier run
+    #: sharing the cache, already finished (0 for a fresh or cacheless
+    #: campaign).
     resumed_tasks: int = 0
 
     def average_normalized(self, model: str) -> NormalizedMetrics:
@@ -193,23 +193,11 @@ def campaign_run_cache(campaign: CampaignConfig) -> RunCache | None:
     return run_cache_for(campaign.cache_dir)
 
 
-def campaign_journal(campaign: CampaignConfig) -> CampaignJournal | None:
-    """The checkpoint journal a campaign's config implies.
-
-    Lives next to the run cache; re-opening the same ``cache_dir`` after
-    an interrupted campaign resumes from it.
-    """
-    if campaign.cache_dir is None:
-        return None
-    return CampaignJournal(Path(campaign.cache_dir) / "journal.jsonl")
-
-
 def write_campaign_telemetry(
     directory: Path,
     recorder,
     health: PoolHealth,
     campaign: CampaignConfig,
-    resumed_tasks: int = 0,
 ) -> Path:
     """Merge per-task telemetry into ``campaign-summary.json`` + ``.prom``.
 
@@ -217,6 +205,7 @@ def write_campaign_telemetry(
     per-task summary in the directory (order-independent, so it does not
     depend on ``jobs``), folded together with the campaign recorder's own
     phase wall-clock timers and the exec layer's pool-health counters.
+    The tasks the run cache served are the campaign's resumed tasks.
     """
     from repro.telemetry import merge_metric_sets, prometheus_text
     from repro.telemetry.diff import CAMPAIGN_SUMMARY
@@ -230,7 +219,7 @@ def write_campaign_telemetry(
         ("pool_tasks_retried", health.retried),
         ("pool_tasks_inline", health.inline),
         ("pool_tasks_timeout", health.timeouts),
-        ("campaign_tasks_resumed", resumed_tasks),
+        ("campaign_tasks_resumed", health.cached),
     ):
         recorder.metrics.counter(
             name, help=f"exec-layer health: {name.replace('_', ' ')}"
@@ -244,7 +233,7 @@ def write_campaign_telemetry(
         "jobs": campaign.jobs,
         "duration_ns": campaign.duration_ns,
         "seed": campaign.seed,
-        "resumed_tasks": resumed_tasks,
+        "resumed_tasks": health.cached,
         "pool": health.as_dict(),
         "merged_from": [p.name for p in task_paths],
     }
@@ -258,96 +247,9 @@ def write_campaign_telemetry(
     return json_path
 
 
-@dataclass
-class CampaignPlan:
-    """Everything a campaign needs *before* any evaluation runs.
-
-    Built by :func:`prepare_campaign` — the trace suite, trained weights,
-    and the ordered evaluation task list.  The construction is
-    deterministic in the campaign config, so every attempt of the same
-    campaign derives the same task list and cache keys, which is what
-    lets a resumed attempt find its finished work.
-    """
-
-    campaign: CampaignConfig
-    suite: TraceSuite
-    weights: dict[str, np.ndarray]
-    tasks: list[SimTask]
-
-
 def _phase(recorder, name: str):
     """``recorder``'s phase timer for ``name``, or a no-op without one."""
     return nullcontext() if recorder is None else recorder.phase(name)
-
-
-def prepare_campaign(
-    campaign: CampaignConfig,
-    jobs: int | None = None,
-    recorder=None,
-) -> CampaignPlan:
-    """Build the suite, train, and lay out the tasks.
-
-    ``recorder`` (a :class:`~repro.telemetry.TelemetryRecorder`) wraps
-    the build/train work in its phase timers when given.
-    """
-    jobs = campaign.jobs if jobs is None else jobs
-
-    with _phase(recorder, "build_suite"):
-        suite = suite_for(campaign, campaign.compressed)
-    with _phase(recorder, "train"):
-        weights = train_ml_models(suite, campaign, jobs=jobs)
-
-    spec = feature_set_spec(campaign.feature_set)
-    tasks = [
-        SimTask(
-            policy=model,
-            trace=trace,
-            sim=campaign.sim,
-            weights=weights.get(model),
-            feature_set=spec,
-            audit=campaign.audit,
-            telemetry_dir=(
-                None if campaign.telemetry_dir is None
-                else str(campaign.telemetry_dir)
-            ),
-        )
-        for trace in suite.test
-        for model in campaign.models
-    ]
-    return CampaignPlan(
-        campaign=campaign,
-        suite=suite,
-        weights=weights,
-        tasks=tasks,
-    )
-
-
-def assemble_campaign_result(
-    plan: CampaignPlan,
-    metrics_list: "list[ModelMetrics]",
-    resumed: int = 0,
-) -> CampaignResult:
-    """Fold per-task metrics (in task order) into a :class:`CampaignResult`."""
-    campaign = plan.campaign
-    results = iter(metrics_list)
-    metrics: dict[str, dict[str, ModelMetrics]] = {}
-    normalized: dict[str, dict[str, NormalizedMetrics]] = {}
-    for trace in plan.suite.test:
-        per_model = {model: next(results) for model in campaign.models}
-        metrics[trace.name] = per_model
-        base = per_model["baseline"]
-        normalized[trace.name] = {
-            m: normalize_to_baseline(base, per_model[m])
-            for m in campaign.models
-            if m != "baseline"
-        }
-    return CampaignResult(
-        config=campaign,
-        metrics=metrics,
-        normalized=normalized,
-        weights=plan.weights,
-        resumed_tasks=resumed,
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -436,43 +338,67 @@ def run_campaign(
     ``jobs`` overrides ``campaign.jobs``; ``cache`` overrides the run
     cache derived from ``campaign.cache_dir`` (pass an explicit
     :class:`RunCache` to inspect hit/miss statistics afterwards).
+    Every evaluation run is cached the moment it finishes, so a killed
+    campaign rerun over the same cache simulates only what had not
+    finished; the runs served from the cache are ``resumed_tasks``.
     With ``campaign.telemetry_dir`` set, the exec layer's degradation
     counters and phase timers go into the merged telemetry summary.
     """
     jobs = campaign.jobs if jobs is None else jobs
     if cache is None:
         cache = campaign_run_cache(campaign)
-    journal = campaign_journal(campaign)
-
     recorder = None
-    health = None
     if campaign.telemetry_dir is not None:
         from repro.telemetry import TelemetryRecorder
 
         recorder = TelemetryRecorder(series=False)
-        health = PoolHealth()
+    health = PoolHealth()
 
-    plan = prepare_campaign(campaign, jobs=jobs, recorder=recorder)
-    resumed = 0
-    if journal is not None and len(journal):
-        resumed = sum(1 for t in plan.tasks if journal.done(t.cache_key()))
-    try:
-        with _phase(recorder, "simulate"):
-            results = run_sim_tasks(
-                plan.tasks,
-                jobs=jobs,
-                cache=cache,
-                journal=journal,
-                timeout=campaign.task_timeout,
-                health=health,
-            )
-    finally:
-        if journal is not None:
-            journal.close()
-
+    with _phase(recorder, "build_suite"):
+        suite = suite_for(campaign, campaign.compressed)
+    with _phase(recorder, "train"):
+        weights = train_ml_models(suite, campaign, jobs=jobs)
+    spec = feature_set_spec(campaign.feature_set)
+    tasks = [
+        SimTask(
+            policy=model,
+            trace=trace,
+            sim=campaign.sim,
+            weights=weights.get(model),
+            feature_set=spec,
+            audit=campaign.audit,
+            telemetry_dir=(
+                None if recorder is None else str(campaign.telemetry_dir)
+            ),
+        )
+        for trace in suite.test
+        for model in campaign.models
+    ]
+    with _phase(recorder, "simulate"):
+        results = iter(run_sim_tasks(
+            tasks, jobs=jobs, cache=cache, timeout=campaign.task_timeout,
+            health=health,
+        ))
     if recorder is not None:
         write_campaign_telemetry(
             Path(campaign.telemetry_dir), recorder, health, campaign,
-            resumed_tasks=resumed,
         )
-    return assemble_campaign_result(plan, results, resumed=resumed)
+
+    metrics: dict[str, dict[str, ModelMetrics]] = {}
+    normalized: dict[str, dict[str, NormalizedMetrics]] = {}
+    for trace in suite.test:
+        per_model = {model: next(results) for model in campaign.models}
+        metrics[trace.name] = per_model
+        base = per_model["baseline"]
+        normalized[trace.name] = {
+            m: normalize_to_baseline(base, per_model[m])
+            for m in campaign.models
+            if m != "baseline"
+        }
+    return CampaignResult(
+        config=campaign,
+        metrics=metrics,
+        normalized=normalized,
+        weights=weights,
+        resumed_tasks=health.cached,
+    )

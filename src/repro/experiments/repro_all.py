@@ -10,8 +10,7 @@ payload of the shape::
      "data":      {...}}                  # full structured result
 
 :func:`run_repro_all` drives the selected entries through the existing
-campaign engine (inheriting the run cache, checkpoint journal,
-salvage/retry and telemetry merge via ``--cache-dir``/``--jobs``),
+campaign engine (inheriting the run cache, salvage/retry and telemetry merge via ``--cache-dir``/``--jobs``),
 layers an :class:`~repro.experiments.artifact.ExperimentMemo` on top so
 a second invocation over the same cache directory replays every payload
 from disk, writes the schema-versioned ``out/`` tree (raw JSON + CSV +

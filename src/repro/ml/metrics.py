@@ -1,4 +1,4 @@
-"""Model-quality metrics, including the paper's mode-selection accuracy.
+"""The paper's mode-selection accuracy metric.
 
 Section IV.B.1: "Mode selection accuracy is defined as the total number of
 accurate mode selections divided by all accurate and inaccurate mode
@@ -27,27 +27,3 @@ def mode_selection_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     pred_modes = np.array([mode_index_for_utilization(u) for u in y_pred])
     return float(np.mean(true_modes == pred_modes))
 
-
-def mode_confusion(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
-    """5x5 confusion matrix over modes 3-7 (rows: truth, cols: predicted)."""
-    y_true = np.asarray(y_true, dtype=float)
-    y_pred = np.asarray(y_pred, dtype=float)
-    if y_true.shape != y_pred.shape:
-        raise TrainingError("inputs have different shapes")
-    out = np.zeros((5, 5), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        out[mode_index_for_utilization(t) - 3, mode_index_for_utilization(p) - 3] += 1
-    return out
-
-
-def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Coefficient of determination of the regression."""
-    y_true = np.asarray(y_true, dtype=float)
-    y_pred = np.asarray(y_pred, dtype=float)
-    if y_true.size < 2:
-        raise TrainingError("R^2 needs at least two samples")
-    ss_res = float(np.sum((y_true - y_pred) ** 2))
-    ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
-    if ss_tot == 0.0:
-        return 1.0 if ss_res == 0.0 else 0.0
-    return 1.0 - ss_res / ss_tot

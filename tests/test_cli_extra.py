@@ -1,4 +1,4 @@
-"""Tests for the newer CLI surfaces: trace, run --map / --switching."""
+"""Tests for the newer CLI surfaces: trace, run --switching."""
 
 import pytest
 
@@ -47,14 +47,6 @@ class TestTraceCommand:
 
 
 class TestRunExtras:
-    def test_run_with_map(self, capsys):
-        rc = main(["run", "--policy", "dozznoc", "--benchmark", "swaptions",
-                   "--duration", "300", "--map"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "gated fraction per router" in out
-        assert "dominant active mode" in out
-
     def test_run_wormhole(self, capsys):
         rc = main(["run", "--policy", "baseline", "--benchmark", "swaptions",
                    "--duration", "300", "--switching", "wormhole"])

@@ -62,14 +62,6 @@ class TestExamplesRun:
         assert "Table II" in out
         assert "2x tau" in out
 
-    def test_power_map(self, capsys, monkeypatch):
-        module = load_example("power_map.py")
-        monkeypatch.setattr(module, "DURATION_NS", 500.0)
-        monkeypatch.setattr(sys, "argv", ["power_map.py", "swaptions"])
-        module.main()
-        out = capsys.readouterr().out
-        assert "gated fraction per router" in out
-
     def test_energy_proportionality(self, capsys, monkeypatch):
         module = load_example("energy_proportionality.py")
         monkeypatch.setattr(module, "DURATION_NS", 800.0)

@@ -15,7 +15,7 @@ from repro.common.config import SimConfig
 from repro.core.controller import make_policy
 import repro.exec.cache as cache_mod
 from repro.exec.cache import RunCache, code_version, run_key, telemetry_key
-from repro.exec.pool import SimTask, run_sim_tasks
+from repro.exec.pool import SimTask, execute_sim_task, run_sim_tasks
 from repro.experiments.runner import ModelMetrics
 from repro.noc.simulator import run_simulation
 from repro.traffic.trace import KIND_REQUEST, Trace
@@ -113,6 +113,41 @@ class TestRunKey:
     def test_code_version_is_stable_and_short(self):
         assert code_version() == code_version()
         assert len(code_version()) == 16
+
+
+class TestSimTaskKey:
+    """A task's key splits only on what its run reads."""
+
+    @pytest.fixture()
+    def trace(self):
+        return make_trace()
+
+    def test_weightless_tasks_share_a_key_across_feature_sets(self, trace):
+        reduced, full = (
+            SimTask(policy="dozznoc", trace=trace, sim=CFG, feature_set=fs)
+            for fs in ("reduced-5", "full-41")
+        )
+        assert reduced.cache_key() == full.cache_key()
+        # The sharing is sound: a reactive run never reads its features.
+        assert vars(execute_sim_task(reduced)) == vars(execute_sim_task(full))
+
+    def test_proactive_tasks_split_on_feature_set(self, trace):
+        w = np.arange(6, dtype=float)
+        reduced, full = (
+            SimTask(policy="dozznoc", trace=trace, sim=CFG, weights=w,
+                    feature_set=fs)
+            for fs in ("reduced-5", "full-41")
+        )
+        assert reduced.cache_key() != full.cache_key()
+
+    def test_full_ladder_is_no_restriction(self, trace):
+        def key(modes):
+            return SimTask(policy="dozznoc", trace=trace, sim=CFG,
+                           allowed_modes=modes).cache_key()
+
+        assert key((3, 4, 5, 6, 7)) == key(None)
+        assert key((7, 6, 5, 4, 3)) == key(None)
+        assert key((3, 5, 7)) != key(None)
 
 
 class TestRunCacheRoundTrip:

@@ -1,10 +1,10 @@
-"""Tests for mode-selection accuracy and regression metrics."""
+"""Tests for the paper's mode-selection accuracy metric."""
 
 import numpy as np
 import pytest
 
 from repro.common.errors import TrainingError
-from repro.ml.metrics import mode_confusion, mode_selection_accuracy, r_squared
+from repro.ml.metrics import mode_selection_accuracy
 
 
 class TestModeSelectionAccuracy:
@@ -32,41 +32,3 @@ class TestModeSelectionAccuracy:
         with pytest.raises(TrainingError):
             mode_selection_accuracy(np.empty(0), np.empty(0))
 
-
-class TestConfusion:
-    def test_diagonal_for_perfect(self):
-        y = np.array([0.01, 0.07, 0.15, 0.22, 0.8])
-        conf = mode_confusion(y, y)
-        assert np.trace(conf) == 5
-        assert conf.sum() == 5
-
-    def test_off_diagonal_for_misses(self):
-        conf = mode_confusion(np.array([0.01]), np.array([0.30]))
-        assert conf[0, 4] == 1  # true M3 predicted M7
-
-    def test_shape(self):
-        conf = mode_confusion(np.array([0.0]), np.array([0.0]))
-        assert conf.shape == (5, 5)
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(TrainingError):
-            mode_confusion(np.ones(2), np.ones(1))
-
-
-class TestRSquared:
-    def test_perfect_fit(self):
-        y = np.array([1.0, 2.0, 3.0])
-        assert r_squared(y, y) == pytest.approx(1.0)
-
-    def test_mean_predictor_scores_zero(self):
-        y = np.array([1.0, 2.0, 3.0])
-        assert r_squared(y, np.full(3, 2.0)) == pytest.approx(0.0)
-
-    def test_constant_truth(self):
-        y = np.array([2.0, 2.0])
-        assert r_squared(y, y) == 1.0
-        assert r_squared(y, np.array([2.0, 3.0])) == 0.0
-
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(TrainingError):
-            r_squared(np.array([1.0]), np.array([1.0]))

@@ -5,7 +5,8 @@ every run and capture key; a module that influences simulation results
 but is missing from that set lets stale cached metrics survive a kernel
 edit.  This test statically extracts everything :mod:`repro.noc.simulator`
 imports — transitively, to a fixpoint — and asserts each module is in
-the versioned set.  Suite keys hash ``_TRAFFIC_MODULES`` and telemetry
+the versioned set, and that the set holds nothing the kernel does not
+reach.  Suite keys hash ``_TRAFFIC_MODULES`` and telemetry
 keys add ``_TELEMETRY_MODULES``; both get the same check against the
 trace generator and the telemetry recorder.
 """
@@ -95,6 +96,21 @@ def test_simulator_imports_are_all_versioned():
         f"modules reachable from the simulator but absent from "
         f"_VERSIONED_MODULES (cached runs would survive edits to them): "
         f"{sorted(missing)}"
+    )
+
+
+def test_versioned_modules_are_all_reached_by_the_kernel():
+    # The converse guard: an entry nothing in the kernel imports cannot
+    # change a run, yet editing it would invalidate every cached run and
+    # capture.
+    reachable = set()
+    for root in ("repro.noc.simulator", "repro.noc.array_sim",
+                 "repro.core.controller"):
+        reachable |= _transitive_imports(root)
+    extra = set(_VERSIONED_MODULES) - reachable
+    assert not extra, (
+        f"_VERSIONED_MODULES entries the kernel never imports (edits to "
+        f"them needlessly invalidate cached runs): {sorted(extra)}"
     )
 
 
