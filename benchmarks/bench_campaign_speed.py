@@ -18,11 +18,6 @@ from repro.common.config import SimConfig
 from repro.exec.cache import RunCache
 from repro.experiments.campaign import CampaignConfig, run_campaign
 
-#: repro-all registry entries this bench corresponds to (empty = perf-only
-#: bench with no repro-all counterpart); asserted against
-#: repro.experiments.repro_all.REPRO_EXPERIMENTS by the test suite.
-EXPERIMENT_IDS = ()
-
 DURATION_NS = float(os.environ.get("REPRO_BENCH_CAMPAIGN_NS", 1_500.0))
 
 #: Quick profile: big enough to amortize pool startup, small enough for CI.

@@ -2,14 +2,8 @@
 
 Not a paper experiment — this tracks the substrate's own speed so
 regressions in the hot path (the per-cycle router loop) are visible.
-Uses multiple pytest-benchmark rounds, unlike the one-shot experiment
-benches.
+Uses multiple pytest-benchmark rounds.
 """
-
-#: repro-all registry entries this bench corresponds to (empty = perf-only
-#: bench with no repro-all counterpart); asserted against
-#: repro.experiments.repro_all.REPRO_EXPERIMENTS by the test suite.
-EXPERIMENT_IDS = ()
 
 from repro.common.config import SimConfig
 from repro.core.controller import make_policy

@@ -1,19 +1,10 @@
-"""Shared infrastructure for the benchmark harness.
+"""Shared infrastructure for the two speed benches.
 
-Each bench regenerates one of the paper's tables or figures, asserts the
-qualitative shape the paper reports, and writes a human-readable report to
-``benchmarks/out/<experiment>.txt``.
-
-Scale is controlled by environment variables so the same harness serves a
-quick CI sweep and a paper-scale run:
-
-* ``REPRO_BENCH_DURATION`` — trace duration in ns (default 8000),
-* ``REPRO_BENCH_QUICK=1`` — 4x4 mesh quick profile (seconds per bench),
-* ``REPRO_BENCH_SEED`` — suite seed (default 0).
-
-Trained ridge weights are cached under ``benchmarks/.cache`` so repeated
-harness runs skip the offline training phase; expensive campaigns are
-memoized per session so e.g. Fig 7 reuses Fig 8's uncompressed campaign.
+``bench_simulator_speed.py`` times the simulator kernel and
+``bench_campaign_speed.py`` the campaign engine; each writes a
+human-readable report to ``benchmarks/out/``.  The paper's tables and
+figures are not benches: ``dozznoc repro-all`` builds them and checks
+their claims (``docs/repro.md``).
 """
 
 from __future__ import annotations
@@ -28,81 +19,8 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if _SRC.exists() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.common.config import SimConfig  # noqa: E402
-from repro.experiments.campaign import CampaignConfig, run_campaign  # noqa: E402
-from repro.experiments.figures import EvalScale  # noqa: E402
-
 BENCH_DIR = Path(__file__).resolve().parent
 OUT_DIR = BENCH_DIR / "out"
-CACHE_DIR = BENCH_DIR / ".cache"
-
-
-def _env_duration(default: float = 8_000.0) -> float:
-    return float(os.environ.get("REPRO_BENCH_DURATION", default))
-
-
-def _is_quick() -> bool:
-    return os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "", "false")
-
-
-@pytest.fixture(scope="session")
-def bench_scale() -> EvalScale:
-    """The mesh evaluation scale used by simulation-backed benches."""
-    if _is_quick():
-        return EvalScale.quick(cache_dir=CACHE_DIR)
-    return EvalScale(
-        sim=SimConfig.paper_mesh(),
-        duration_ns=_env_duration(),
-        seed=int(os.environ.get("REPRO_BENCH_SEED", "0")),
-        cache_dir=CACHE_DIR,
-    )
-
-
-@pytest.fixture(scope="session")
-def cmesh_scale() -> EvalScale:
-    """The concentrated-mesh evaluation scale."""
-    if _is_quick():
-        return EvalScale(
-            sim=SimConfig(topology="cmesh", radix=2, concentration=4,
-                          epoch_cycles=150),
-            duration_ns=2_500.0,
-            cache_dir=CACHE_DIR,
-        )
-    return EvalScale(
-        sim=SimConfig.paper_cmesh(),
-        duration_ns=_env_duration(),
-        seed=int(os.environ.get("REPRO_BENCH_SEED", "0")),
-        cache_dir=CACHE_DIR,
-    )
-
-
-class CampaignCache:
-    """Session-level memoization of expensive campaigns."""
-
-    def __init__(self) -> None:
-        self._cache: dict[tuple, object] = {}
-
-    def get(self, scale: EvalScale, compressed: bool):
-        key = (
-            scale.sim.topology, scale.sim.radix, scale.duration_ns,
-            scale.seed, compressed,
-        )
-        if key not in self._cache:
-            self._cache[key] = run_campaign(
-                CampaignConfig(
-                    sim=scale.sim,
-                    duration_ns=scale.duration_ns,
-                    compressed=compressed,
-                    seed=scale.seed,
-                    cache_dir=scale.cache_dir,
-                )
-            )
-        return self._cache[key]
-
-
-@pytest.fixture(scope="session")
-def campaigns() -> CampaignCache:
-    return CampaignCache()
 
 
 @pytest.fixture(scope="session")
@@ -124,7 +42,7 @@ def artifact_out() -> Path:
 
 
 def write_report(report_dir: Path, name: str, text: str) -> None:
-    """Write (and echo) one experiment's report."""
+    """Write (and echo) one bench's report."""
     path = report_dir / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n{text}\n[report written to {path}]")

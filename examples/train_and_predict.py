@@ -16,8 +16,8 @@ from repro.ml.metrics import mode_selection_accuracy
 from repro.ml.training import collect_dataset, train_policy_model
 from repro.traffic import build_suite
 
-# A reduced scale so the example finishes in about a minute; the benchmark
-# harness (benchmarks/) runs the same flow at paper scale.
+# A reduced scale so the example finishes in about a minute;
+# `dozznoc repro-all --scale paper` runs the same flow at paper scale.
 CONFIG = SimConfig.paper_mesh(epoch_cycles=500)
 DURATION_NS = 3_000.0
 

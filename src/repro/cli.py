@@ -3,8 +3,9 @@
 ``dozznoc`` (or ``python -m repro``) exposes the library's main entry
 points without writing any Python:
 
-* ``dozznoc tables`` — regenerate Tables I-V and compare to the paper,
-* ``dozznoc figure fig5|fig6|fig7|fig8|fig9`` — regenerate a figure,
+* ``dozznoc tables`` — regenerate Tables I-V and check their claims,
+* ``dozznoc figure EXP`` — build one ``repro-all`` experiment and print
+  its table and claim outcomes,
 * ``dozznoc run --policy dozznoc --benchmark canneal`` — one simulation,
 * ``dozznoc campaign [--compressed] [--cmesh]`` — the full evaluation,
 * ``dozznoc telemetry DIR [DIR2]`` — tabulate, diff or validate telemetry
@@ -22,7 +23,7 @@ import sys
 
 from repro.common.config import SimConfig
 from repro.experiments.profiles import MODEL_NAMES, EvalScale
-from repro.experiments.report import format_distribution, format_table
+from repro.experiments.report import format_table
 
 # Building the parser imports no numpy and no kernel code: its choices
 # come from numpy-free name tables (MODEL_NAMES doubles as the policy
@@ -38,30 +39,30 @@ BENCHMARK_NAMES: tuple[str, ...] = (
 )
 
 
-def _scale(args: argparse.Namespace) -> EvalScale:
-    from dataclasses import replace
+def _check_cache_dir(cache_dir: str | None) -> None:
     from pathlib import Path
 
-    cache_dir = getattr(args, "cache_dir", None)
     if cache_dir is not None and Path(cache_dir).exists() \
             and not Path(cache_dir).is_dir():
         sys.exit(f"dozznoc: error: --cache-dir {cache_dir!r} is not a directory")
-    duration = getattr(args, "duration", None)
-    if getattr(args, "quick", False):
+
+
+def _scale(args: argparse.Namespace) -> EvalScale:
+    """The campaign command's evaluation scale."""
+    from dataclasses import replace
+
+    _check_cache_dir(args.cache_dir)
+    if args.quick:
         scale = EvalScale.quick()
-    elif getattr(args, "cmesh", False):
+    elif args.cmesh:
         scale = EvalScale.cmesh()
     else:
-        scale = EvalScale(duration_ns=duration if duration else 12_000.0)
-    if duration:
+        scale = EvalScale()
+    if args.duration:
         # An explicit --duration also scales the quick/cmesh profiles.
-        scale = replace(scale, duration_ns=duration)
-    return replace(
-        scale,
-        jobs=getattr(args, "jobs", 1),
-        cache_dir=getattr(args, "cache_dir", None) or scale.cache_dir,
-        audit=getattr(args, "audit", False),
-    )
+        scale = replace(scale, duration_ns=args.duration)
+    return replace(scale, jobs=args.jobs, cache_dir=args.cache_dir,
+                   audit=args.audit)
 
 
 def _model_cell(row: dict) -> str:
@@ -91,81 +92,54 @@ def _warn_undrained(result) -> None:
     print(bar, file=sys.stderr)
 
 
-def _cmd_tables(args: argparse.Namespace) -> int:
-    from repro.experiments.tables import ALL_TABLES
+def _show_experiments(
+    ids: list[str], scale: str = "paper", jobs: int = 1,
+    cache_dir: str | None = None,
+) -> int:
+    """Print registry payload tables plus their claim outcomes.
 
-    for name, fn in ALL_TABLES.items():
-        cmp = fn()
-        print(f"\n{cmp.name}  (max |error| vs paper: {cmp.max_abs_error:.3g})")
-        rows = [list(r) for r in cmp.measured_rows]
-        headers = list(cmp.headers)
-        if len(headers) != len(rows[0]):
-            headers = [f"c{i}" for i in range(len(rows[0]))]
-        print(format_table(headers, rows))
-    return 0
+    Exit 1 when a claim fails, as ``repro-all`` does.  A cache
+    directory shares repro-all's experiment memo, so a payload that a
+    ``repro-all`` over it stored replays without simulating.
+    """
+    from repro.experiments.artifact import ExperimentMemo
+    from repro.experiments.report import claim_outcome
+    from repro.experiments.repro_all import (
+        ReproContext,
+        entry_payload,
+        evaluate_claims,
+        resolve_scale,
+        select_entries,
+    )
+
+    ctx = ReproContext(scale, resolve_scale(scale, cache_dir, jobs))
+    memo = None if cache_dir is None else ExperimentMemo(cache_dir)
+    entries = select_entries(ids)
+    payloads = {e.id: entry_payload(e, ctx, memo)[0] for e in entries}
+    claims = evaluate_claims(entries, payloads, scale)
+    for entry in entries:
+        table = payloads[entry.id]["table"]
+        print()
+        print(format_table(table["headers"], table["rows"],
+                           title=f"{entry.id}: {entry.title}"))
+        for claim in claims[entry.id]:
+            print(f"  claim {claim_outcome(claim['holds'])}: {claim['text']}")
+    failed = any(c["holds"] is False for cs in claims.values() for c in cs)
+    return 1 if failed else 0
+
+
+def _cmd_tables(args: argparse.Namespace) -> int:
+    from repro.experiments.repro_all import REPRO_EXPERIMENTS
+
+    return _show_experiments(
+        [i for i, e in REPRO_EXPERIMENTS.items() if e.kind == "table"]
+    )
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    from repro.experiments.figures import (
-        fig5_waveforms,
-        fig6_efficiency,
-        fig7_mode_distribution,
-        fig8_throughput_energy,
-        fig9_feature_accuracy,
-    )
-
-    name = args.name
-    if name == "fig5":
-        r = fig5_waveforms()
-        print(f"T-Wakeup (0->0.8V): {r.t_wakeup_ns:.2f} ns (paper: 8.5 ns)")
-        print(f"T-Switch (0.8->1.2V): {r.t_switch_ns:.2f} ns (paper: 6.9 ns)")
-    elif name == "fig6":
-        r = fig6_efficiency()
-        rows = [
-            (f"{v:.2f}", f"{b:.3f}", f"{s:.3f}", f"{(s - b):+.3f}")
-            for v, b, s in zip(r.voltages, r.baseline, r.simo)
-        ]
-        print(format_table(("Vout", "baseline", "SIMO", "gain"), rows))
-    elif name == "fig7":
-        dists = fig7_mode_distribution(_scale(args))
-        for model, per_bench in dists.items():
-            print(f"\n{model}:")
-            for bench, dist in per_bench.items():
-                print(f"  {bench:15s} {format_distribution(dist)}")
-    elif name == "fig8":
-        r = fig8_throughput_energy(_scale(args))
-        for label, campaign in (
-            ("compressed", r.compressed),
-            ("uncompressed", r.uncompressed),
-        ):
-            print(f"\nFig 8 ({label}):")
-            rows = [
-                (
-                    _model_cell(row),
-                    f"{row['static_savings_pct']:.1f}",
-                    f"{row['dynamic_savings_pct']:.1f}",
-                    f"{row['throughput_loss_pct']:.1f}",
-                    f"{row['latency_increase_pct']:.1f}",
-                )
-                for row in campaign.summary_rows()
-            ]
-            print(
-                format_table(
-                    ("model", "static sav %", "dyn sav %", "thr loss %", "lat +%"),
-                    rows,
-                )
-            )
-            _warn_undrained(campaign)
-    elif name == "fig9":
-        rows = [
-            (fa.feature, f"{fa.average:.2f}")
-            for fa in fig9_feature_accuracy(_scale(args))
-        ]
-        print(format_table(("feature", "mode-selection accuracy"), rows))
-    else:
-        print(f"unknown figure {name!r}", file=sys.stderr)
-        return 2
-    return 0
+    _check_cache_dir(args.cache_dir)
+    return _show_experiments([args.name], args.scale, args.jobs,
+                             args.cache_dir)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -411,7 +385,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
     print("benchmarks:", ", ".join(sorted(BENCHMARKS)))
     print("policies:  ", ", ".join(sorted(POLICIES)))
     print("tables:    ", ", ".join(sorted(ALL_TABLES)))
-    print("figures:   ", "fig5, fig6, fig7, fig8, fig9")
     print("repro-all: ", ", ".join(sorted(REPRO_EXPERIMENTS)))
     return 0
 
@@ -423,23 +396,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("tables", help="regenerate Tables I-V").set_defaults(
+    sub.add_parser(
+        "tables", help="regenerate Tables I-V and check their claims"
+    ).set_defaults(
         fn=_cmd_tables
     )
 
-    p_fig = sub.add_parser("figure", help="regenerate one figure")
-    p_fig.add_argument("name", choices=["fig5", "fig6", "fig7", "fig8", "fig9"])
-    p_fig.add_argument("--quick", action="store_true", help="small fast profile")
-    p_fig.add_argument("--duration", type=float, default=None,
-                       help="trace duration in ns (default 12000; also "
-                            "overrides the --quick profile's duration)")
+    from repro.experiments.repro_all import REPRO_EXPERIMENTS, SCALE_NAMES
+
+    p_fig = sub.add_parser(
+        "figure",
+        help="build one repro-all experiment; print its table and claims",
+    )
+    p_fig.add_argument("name", choices=sorted(REPRO_EXPERIMENTS))
+    p_fig.add_argument("--scale", choices=SCALE_NAMES, default="paper",
+                       help="evaluation scale (default: paper)")
     p_fig.add_argument("--jobs", type=int, default=1,
                        help="worker processes (1=serial, 0=all CPUs)")
     p_fig.add_argument("--cache-dir", default=None,
-                       help="cache trained weights and simulation results")
-    p_fig.add_argument("--audit", action="store_true",
-                       help="run invariant audits on every simulation")
-    p_fig.set_defaults(fn=_cmd_figure, cmesh=False)
+                       help="run cache + experiment memo, shared with "
+                            "repro-all")
+    p_fig.set_defaults(fn=_cmd_figure)
 
     p_run = sub.add_parser("run", help="run one policy on one benchmark")
     p_run.add_argument("--policy", choices=sorted(MODEL_NAMES),

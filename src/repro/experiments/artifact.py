@@ -190,8 +190,9 @@ def validate_manifest(manifest: dict, layout: ArtifactLayout) -> list[str]:
 
     Returns human-readable problems (empty list = valid): missing keys,
     wrong schema, listed files that are absent or whose bytes no longer
-    match their recorded digest, and experiments whose file entries are
-    not in the file table.
+    match their recorded digest, experiments whose file entries are
+    not in the file table, and experiments without headlines or a
+    claims list.
     """
     problems = []
     for key in _MANIFEST_REQUIRED:
@@ -218,6 +219,8 @@ def validate_manifest(manifest: dict, layout: ArtifactLayout) -> list[str]:
                 problems.append(f"{exp_id}: {slot} file {rel!r} not in files")
         if not isinstance(entry.get("headlines"), dict):
             problems.append(f"{exp_id}: headlines missing")
+        if not isinstance(entry.get("claims"), list):
+            problems.append(f"{exp_id}: claims missing")
     return problems
 
 

@@ -205,7 +205,8 @@ def write_campaign_telemetry(
     per-task summary in the directory (order-independent, so it does not
     depend on ``jobs``), folded together with the campaign recorder's own
     phase wall-clock timers and the exec layer's pool-health counters.
-    The tasks the run cache served are the campaign's resumed tasks.
+    ``pool_tasks_cached`` counts the tasks the run cache served, which
+    :attr:`CampaignResult.resumed_tasks` reports too.
     """
     from repro.telemetry import merge_metric_sets, prometheus_text
     from repro.telemetry.diff import CAMPAIGN_SUMMARY
@@ -219,7 +220,6 @@ def write_campaign_telemetry(
         ("pool_tasks_retried", health.retried),
         ("pool_tasks_inline", health.inline),
         ("pool_tasks_timeout", health.timeouts),
-        ("campaign_tasks_resumed", health.cached),
     ):
         recorder.metrics.counter(
             name, help=f"exec-layer health: {name.replace('_', ' ')}"
@@ -233,7 +233,6 @@ def write_campaign_telemetry(
         "jobs": campaign.jobs,
         "duration_ns": campaign.duration_ns,
         "seed": campaign.seed,
-        "resumed_tasks": health.cached,
         "pool": health.as_dict(),
         "merged_from": [p.name for p in task_paths],
     }

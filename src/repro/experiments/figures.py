@@ -1,9 +1,10 @@
 """Reproduction of the paper's figures and in-text results.
 
 Every function regenerates the data behind one figure (or a block of
-Section IV.B numbers) and returns a structured result the benches print.
-Simulation-backed figures take an :class:`EvalScale` so unit tests can run
-them in seconds while the benchmark harness uses paper-scale runs.
+Section IV.B numbers) and returns a structured result that the
+``repro-all`` registry turns into a payload.  Simulation-backed figures
+take an :class:`EvalScale` so unit tests can run them in seconds while
+``repro-all --scale paper`` runs them at the paper's scale.
 """
 
 from __future__ import annotations
@@ -82,33 +83,18 @@ def fig6_efficiency(n_points: int = 41) -> EfficiencyComparison:
 
 
 # ---------------------------------------------------------------------- #
-# Figures 7 / 8 and the Section IV.B.2 numbers — full campaigns
+# Figure 7 — DVFS mode distribution
 # ---------------------------------------------------------------------- #
 
 
-def _campaign(scale: EvalScale, compressed: bool) -> CampaignConfig:
-    return CampaignConfig(
-        sim=scale.sim,
-        duration_ns=scale.duration_ns,
-        compressed=compressed,
-        seed=scale.seed,
-        cache_dir=scale.cache_dir,
-        jobs=scale.jobs,
-        audit=scale.audit,
-    )
-
-
 def fig7_mode_distribution(
-    scale: EvalScale | None = None,
-    campaign_result: CampaignResult | None = None,
+    campaign_result: CampaignResult,
 ) -> dict[str, dict[str, dict[int, float]]]:
     """Fig 7: per-benchmark DVFS mode breakdown for the three ML models.
 
-    Returns ``model -> benchmark -> {mode: fraction}``, computed on the
-    uncompressed test traces (the figure's setting).
+    Returns ``model -> benchmark -> {mode: fraction}`` from a campaign on
+    the uncompressed test traces (the figure's setting).
     """
-    if campaign_result is None:
-        campaign_result = run_campaign(_campaign(scale or EvalScale(), False))
     out: dict[str, dict[str, dict[int, float]]] = {}
     for model in ("dozznoc", "lead", "turbo"):
         out[model] = {
@@ -116,29 +102,6 @@ def fig7_mode_distribution(
             for trace in campaign_result.metrics
         }
     return out
-
-
-@dataclass(frozen=True)
-class Fig8Result:
-    """Fig 8: throughput + normalized energy, compressed and uncompressed."""
-
-    compressed: CampaignResult
-    uncompressed: CampaignResult
-
-
-def fig8_throughput_energy(scale: EvalScale | None = None) -> Fig8Result:
-    """Fig 8(a-c): the headline evaluation on the mesh."""
-    scale = scale or EvalScale()
-    return Fig8Result(
-        compressed=run_campaign(_campaign(scale, True)),
-        uncompressed=run_campaign(_campaign(scale, False)),
-    )
-
-
-def cmesh_results(scale: EvalScale | None = None) -> CampaignResult:
-    """Section IV.B.2 cmesh numbers (DozzNoC: 39 % static, 18 % dynamic)."""
-    scale = scale or EvalScale.cmesh()
-    return run_campaign(_campaign(scale, False))
 
 
 # ---------------------------------------------------------------------- #

@@ -1,8 +1,8 @@
 """Plain-text, CSV and HTML reporting helpers.
 
-Every table/figure reproduction prints through :func:`format_table` so
-the bench output reads like the paper's tables: fixed-width ASCII with
-aligned columns and an optional title rule.
+The CLI's ``tables`` and ``figure`` views print registry payloads
+through :func:`format_table`: fixed-width ASCII with aligned columns and
+an optional title rule.
 
 The CSV and HTML writers back the ``repro-all`` artifact
 (:mod:`repro.experiments.artifact`) and are **deterministic by
@@ -137,6 +137,23 @@ def _html_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str
     return "".join(out)
 
 
+def claim_outcome(holds: bool | str) -> str:
+    """A claim's ``holds`` value as the word reports print for it."""
+    return {True: "holds", False: "FAILS"}.get(holds, str(holds))
+
+
+def _claims_html(claims: Sequence[Mapping]) -> str:
+    out = ["<table>", "<tr><th>claim</th><th>outcome</th></tr>"]
+    for claim in claims:
+        cls = {True: "ok", False: "fail"}.get(claim["holds"], "muted")
+        out.append(
+            f"<tr><td>{_html.escape(str(claim['text']))}</td>"
+            f'<td class="{cls}">{claim_outcome(claim["holds"])}</td></tr>'
+        )
+    out.append("</table>")
+    return "".join(out)
+
+
 def render_html_report(
     manifest: Mapping,
     tables: Mapping[str, tuple[Sequence[str], Sequence[Sequence[object]]]],
@@ -178,6 +195,18 @@ def render_html_report(
             [(f["experiment"], f.get("headline", "-"), f["problem"])
              for f in failures],
         ))
+    outcomes = [
+        claim_outcome(c["holds"])
+        for entry in manifest["experiments"].values()
+        for c in entry.get("claims", ())
+    ]
+    parts.append(
+        "<h2>Claims</h2>"
+        f"<p>{outcomes.count('holds')} held, "
+        f'<span class="{"fail" if "FAILS" in outcomes else "muted"}">'
+        f"{outcomes.count('FAILS')} failed</span>, "
+        f"{outcomes.count('skipped')} skipped</p>"
+    )
     for exp_id in sorted(manifest["experiments"]):
         entry = manifest["experiments"][exp_id]
         parts.append(
@@ -195,6 +224,8 @@ def render_html_report(
                 ("headline", "value"),
                 [(k, headlines[k]) for k in sorted(headlines)],
             ))
+        if entry.get("claims"):
+            parts.append(_claims_html(entry["claims"]))
         table = tables.get(exp_id)
         if table is not None:
             headers, rows = table

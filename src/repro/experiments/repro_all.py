@@ -17,7 +17,9 @@ from disk, writes the schema-versioned ``out/`` tree (raw JSON + CSV +
 manifest + one static HTML report), and diffs every headline against the
 committed per-scale expectation files (``tests/expectations/*.json``).
 Any drift — a changed value, a headline without coverage, or an
-experiment without committed expectations — exits nonzero.
+experiment without committed expectations — exits nonzero, and so does
+a failed claim: each entry's claims (:mod:`repro.experiments.claims`)
+are checked on its payload after every build or memo replay.
 
 Builders import ``figures``, ``tables`` and ``campaign`` inside their
 bodies, so a warm rerun that replays every payload from the memo never
@@ -51,6 +53,7 @@ from repro.experiments.artifact import (
     sha256_file,
     write_json,
 )
+from repro.experiments.claims import CLAIMS, Claim, evaluate_claims
 from repro.experiments.profiles import MODEL_NAMES, EvalScale
 from repro.experiments.report import csv_text, render_html_report
 
@@ -235,9 +238,7 @@ def _build_fig6(ctx: ReproContext) -> dict:
 def _build_fig7(ctx: ReproContext) -> dict:
     from repro.experiments.figures import fig7_mode_distribution
 
-    dist = fig7_mode_distribution(
-        ctx.scale, campaign_result=ctx.campaign()
-    )
+    dist = fig7_mode_distribution(ctx.campaign())
     rows = []
     headlines = {}
     for model in sorted(dist):
@@ -495,15 +496,14 @@ def _build_ladder(ctx: ReproContext) -> dict:
 
 
 def _build_telemetry(ctx: ReproContext) -> dict:
-    from repro.core.features import REDUCED_FEATURES
-    from repro.exec.cache import run_key, telemetry_key
+    from repro.exec.cache import telemetry_key
+    from repro.exec.pool import SimTask
     from repro.traffic.suite import suite_for
 
     trace = suite_for(ctx.scale).test[0]
     sim = ctx.scale.sim
     cache = ctx.run_cache()
-    key = telemetry_key(run_key("dozznoc", trace, sim, None,
-                                REDUCED_FEATURES.names, REDUCED_FEATURES.name))
+    key = telemetry_key(SimTask("dozznoc", trace, sim).cache_key())
     entry = None if cache is None else cache.get(key, "telemetry")
     if entry is None:
         from repro.core.controller import make_policy
@@ -549,43 +549,44 @@ class ReproEntry:
     kind: str  # "table" | "figure" | "text" | "extension"
     needs_simulation: bool
     build: Callable[[ReproContext], dict]
+    claims: tuple[Claim, ...] = ()
 
 
 REPRO_EXPERIMENTS: dict[str, ReproEntry] = {
     e.id: e
     for e in (
         ReproEntry("table1", "Table I: LDO dropout ranges", "table", False,
-                   _table_payload("table1")),
+                   _table_payload("table1"), CLAIMS["table1"]),
         ReproEntry("table2", "Table II: switch-latency matrix", "table",
-                   False, _table_payload("table2")),
+                   False, _table_payload("table2"), CLAIMS["table2"]),
         ReproEntry("table3", "Table III: cycle costs", "table", False,
-                   _table_payload("table3")),
+                   _table_payload("table3"), CLAIMS["table3"]),
         ReproEntry("table4", "Table IV: reduced feature set", "table", False,
-                   _table_payload("table4")),
+                   _table_payload("table4"), CLAIMS["table4"]),
         ReproEntry("table5", "Table V: power model", "table", False,
-                   _table_payload("table5")),
+                   _table_payload("table5"), CLAIMS["table5"]),
         ReproEntry("fig5", "Fig 5: regulator transients", "figure", False,
-                   _build_fig5),
+                   _build_fig5, CLAIMS["fig5"]),
         ReproEntry("fig6", "Fig 6: delivery efficiency", "figure", False,
-                   _build_fig6),
+                   _build_fig6, CLAIMS["fig6"]),
         ReproEntry("fig7", "Fig 7: DVFS mode distribution", "figure", True,
-                   _build_fig7),
+                   _build_fig7, CLAIMS["fig7"]),
         ReproEntry("fig8", "Fig 8: throughput + normalized energy",
-                   "figure", True, _build_fig8),
+                   "figure", True, _build_fig8, CLAIMS["fig8"]),
         ReproEntry("fig9", "Fig 9/11: single-feature accuracy", "figure",
-                   True, _build_fig9),
+                   True, _build_fig9, CLAIMS["fig9"]),
         ReproEntry("cmesh", "IV.B.2: concentrated-mesh results", "text",
-                   True, _build_cmesh),
+                   True, _build_cmesh, CLAIMS["cmesh"]),
         ReproEntry("epoch_sweep", "IV.B.1: epoch-size trade-off", "text",
-                   True, _build_epoch_sweep),
+                   True, _build_epoch_sweep, CLAIMS["epoch_sweep"]),
         ReproEntry("feature_ablation", "IV.B.1: 5 vs 41 features", "text",
-                   True, _build_feature_ablation),
+                   True, _build_feature_ablation, CLAIMS["feature_ablation"]),
         ReproEntry("tidle", "III.B: T-Idle trade-off (extension)",
-                   "extension", True, _build_tidle),
+                   "extension", True, _build_tidle, CLAIMS["tidle"]),
         ReproEntry("buffers", "buffer-depth sweep (extension)", "extension",
-                   True, _build_buffers),
+                   True, _build_buffers, CLAIMS["buffers"]),
         ReproEntry("ladder", "DVFS-ladder granularity (extension)",
-                   "extension", True, _build_ladder),
+                   "extension", True, _build_ladder, CLAIMS["ladder"]),
         ReproEntry("telemetry", "deterministic telemetry counters "
                    "(extension)", "extension", True, _build_telemetry),
     )
@@ -796,14 +797,32 @@ def _payload_ok(payload: dict) -> bool:
     )
 
 
+def entry_payload(
+    entry: ReproEntry, ctx: ReproContext, memo: ExperimentMemo | None
+) -> tuple[dict, bool]:
+    """One entry's payload, and whether the experiment memo served it."""
+    key = memo_key(entry.id, scale_fingerprint(ctx.scale_name, ctx.scale))
+    payload = memo.get(key) if memo is not None else None
+    if payload is not None and _payload_ok(payload):
+        return payload, True
+    # Round-trip through canonical JSON so the fresh and memo-replayed
+    # paths serialize identically (tuples become lists, numpy scalars
+    # become numbers, int keys strings).
+    payload = json.loads(canonical_json(entry.build(ctx)))
+    if memo is not None:
+        memo.put(key, payload)
+    return payload, False
+
+
 def run_repro_all(
     options: ReproOptions, log: Callable[[str], None] = print
 ) -> ReproReport:
     """Produce the full reproduction artifact; see the module docstring.
 
-    Exit code 0 when the expectations diff is clean (or disabled),
-    1 on any drift.  The emitted tree is byte-deterministic: neither
-    ``jobs``, nor cache hit/miss state, nor wall-clock appears in it.
+    Exit code 0 when the expectations diff is clean (or disabled) and no
+    claim fails, 1 on any drift or failed claim.  The emitted tree is
+    byte-deterministic: neither ``jobs``, nor cache hit/miss state, nor
+    wall-clock appears in it.
     """
     scale = resolve_scale(
         options.scale,
@@ -818,30 +837,18 @@ def run_repro_all(
         None if options.cache_dir is None
         else ExperimentMemo(options.cache_dir)
     )
-    fingerprint = scale_fingerprint(options.scale, scale)
 
     cached: list[str] = []
     computed: list[str] = []
+    payloads: dict[str, dict] = {}
     experiments: dict[str, dict] = {}
     files: dict[str, str] = {}
     csv_tables: dict[str, tuple] = {}
     for entry in entries:
-        key = memo_key(entry.id, fingerprint)
-        payload = memo.get(key) if memo is not None else None
-        if payload is not None and not _payload_ok(payload):
-            payload = None
-        if payload is None:
-            # Round-trip through canonical JSON so the fresh and
-            # memo-replayed paths serialize identically (tuples become
-            # lists, numpy scalars become numbers, int keys strings).
-            payload = json.loads(canonical_json(entry.build(ctx)))
-            if memo is not None:
-                memo.put(key, payload)
-            computed.append(entry.id)
-            log(f"repro-all: {entry.id}: computed")
-        else:
-            cached.append(entry.id)
-            log(f"repro-all: {entry.id}: cached")
+        payload, from_memo = entry_payload(entry, ctx, memo)
+        payloads[entry.id] = payload
+        (cached if from_memo else computed).append(entry.id)
+        log(f"repro-all: {entry.id}: {'cached' if from_memo else 'computed'}")
         raw_path = write_json(
             layout.raw_path(entry.id),
             {
@@ -871,6 +878,9 @@ def run_repro_all(
             },
         }
 
+    claims = evaluate_claims(entries, payloads, options.scale)
+    for exp_id, results in claims.items():
+        experiments[exp_id]["claims"] = results
     expected, source = load_expectations(options.expectations, options.scale)
     expectations = diff_expectations(
         expected, source, experiments, options.scale
@@ -895,14 +905,21 @@ def run_repro_all(
             f"repro-all: DRIFT {failure['experiment']}."
             f"{failure['headline']}: {failure['problem']}"
         )
+    outcomes = [c["holds"] for results in claims.values() for c in results]
+    for exp_id, results in claims.items():
+        for claim in results:
+            if claim["holds"] is False:
+                log(f"repro-all: CLAIM FAILED {exp_id}: {claim['text']}")
     log(
         f"repro-all: {len(entries)} experiment(s) "
         f"({len(cached)} from the experiment memo), expectations "
         f"{expectations['status']} ({expectations['checked']} headline(s) "
-        f"checked against {expectations['source']}) -> "
-        f"{layout.manifest_path}"
+        f"checked against {expectations['source']}), claims "
+        f"{outcomes.count(True)} held, {outcomes.count(False)} failed, "
+        f"{outcomes.count('skipped')} skipped -> {layout.manifest_path}"
     )
-    exit_code = 0 if expectations["status"] in ("clean", "skipped") else 1
+    drift = expectations["status"] not in ("clean", "skipped")
+    exit_code = 1 if drift or False in outcomes else 0
     return ReproReport(
         exit_code=exit_code,
         manifest=manifest,

@@ -9,8 +9,9 @@ expectations diff disabled, then rewrites the committed file from the
 fresh manifest: every float headline gets an explicit ``rel_tol``
 (1e-9 by default — the golden-trace tolerance), every integer, boolean
 and string is ``exact``.  Experiments listed with ``--unchecked`` are
-recorded but never diffed (used for paper scale, where the
-simulation-backed experiments are too slow for CI).
+recorded but never diffed; both committed files pin every experiment.
+Paper scale takes about 4 minutes on 2 workers; ``--cache-dir`` over a
+finished ``repro-all --scale paper`` run replays it from the memo.
 
 Regenerating expectations is a **loud, reviewed act**: the diff of the
 JSON file is the evidence that headline numbers moved, and the commit

@@ -28,6 +28,12 @@ class TestFig5:
         assert r.switch.v_from == 0.8
         assert r.switch.v_to == 1.2
 
+    def test_wakeup_rises_monotonically(self):
+        assert np.all(np.diff(fig5_waveforms().wakeup.v) >= -1e-12)
+
+    def test_switch_starts_at_its_source_voltage(self):
+        assert fig5_waveforms().switch.v[0] == 0.8
+
 
 class TestFig6:
     def test_sweep_resolution(self):

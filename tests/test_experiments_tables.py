@@ -1,9 +1,13 @@
 """Tests pinning the table reproductions against the paper's values."""
 
+import numpy as np
 import pytest
 
+from repro.core.features import FULL_FEATURES, REDUCED_FEATURES
+from repro.power.dsent import ML_LABEL_ENERGY_5FEAT_PJ
 from repro.experiments.tables import (
     ALL_TABLES,
+    PAPER_TABLE3,
     table1,
     table2,
     table3,
@@ -32,6 +36,9 @@ class TestTable2:
         assert len(cmp.measured_rows) == 6
         assert len(cmp.measured_rows[0]) == 6
 
+    def test_zero_diagonal(self):
+        assert np.allclose(np.diag(np.array(table2().measured_rows)), 0.0)
+
 
 class TestTable3:
     def test_derived_within_two_cycles(self):
@@ -45,6 +52,7 @@ class TestTable3:
             (1.1, 2.00, 14, 16, 11),
             (1.2, 2.25, 16, 18, 12),
         )
+        assert table3_simulator_constants() == PAPER_TABLE3
 
 
 class TestTable4:
@@ -52,6 +60,14 @@ class TestTable4:
         cmp = table4()
         assert len(cmp.measured_rows) == 5
         assert cmp.max_abs_error == 0.0
+
+    def test_feature_set_sizes(self):
+        assert len(REDUCED_FEATURES) == 5
+        assert len(FULL_FEATURES) == 41
+
+    def test_label_energy_counts_multiplies_and_adds(self):
+        # Section III.D: 5 multiplies at 1.1 pJ plus 4 adds at 0.4 pJ.
+        assert ML_LABEL_ENERGY_5FEAT_PJ == 5 * 1.1 + 4 * 0.4
 
 
 class TestTable5:

@@ -26,6 +26,8 @@ _ALLOWED = {
     "repro": "package re-exports; repro-all reads only its file path",
     "repro._lazy": "resolves package re-exports on first access",
     "repro.common.sources": "computes the digests themselves",
+    "repro.experiments.claims": "claims are checked on payloads after "
+                                "every build or memo replay",
     "repro.experiments.report": "renders out/ CSV and HTML from payloads "
                                 "on every run, memoised or not",
     "repro.telemetry": "package re-exports of recorder and metrics",

@@ -1,4 +1,4 @@
-"""End-to-end tests for ``dozznoc repro-all`` (ISSUE 9's tentpole).
+"""End-to-end tests for ``dozznoc repro-all``.
 
 One session-scoped fixture pays for a full quick-scale run; every
 layout/validation/expectations assertion reads from it.  The
@@ -10,6 +10,8 @@ fully memoized and byte-identical) and compare ``--jobs 1`` against
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -21,9 +23,12 @@ from repro.experiments.artifact import validate_manifest
 from repro.experiments.repro_all import (
     REPRO_EXPERIMENTS,
     EXPECTATIONS_SCHEMA,
+    ReproContext,
     ReproOptions,
     diff_expectations,
+    evaluate_claims,
     expectations_payload,
+    resolve_scale,
     run_repro_all,
     select_entries,
 )
@@ -57,6 +62,17 @@ class TestEndToEnd:
         assert report.manifest["expectations"]["failures"] == []
         assert report.manifest["expectations"]["source"] == "quick.json"
         assert report.manifest["expectations"]["checked"] > 100
+        claims = {
+            (exp_id, c["text"]): c["holds"]
+            for exp_id, entry in report.manifest["experiments"].items()
+            for c in entry["claims"]
+        }
+        assert len(claims) > 50
+        # The 4x4 quick mesh never leaves M3, so fig7's load-dependent
+        # claim applies at paper scale only; every other claim holds.
+        skipped = [k for k, v in claims.items() if v == "skipped"]
+        assert [exp_id for exp_id, _ in skipped] == ["fig7"]
+        assert all(v is True for k, v in claims.items() if k not in skipped)
 
     def test_out_layout(self, e2e):
         base, _, report = e2e
@@ -203,8 +219,8 @@ class TestPerturbationSentinel:
 
 class TestRegistryAndSelection:
     def test_covers_every_registry_experiment(self):
-        """repro-all must subsume every experiment the per-experiment
-        bench registry used to list, paper artifacts and extensions."""
+        """repro-all covers every experiment the retired per-experiment
+        benches ran, paper artifacts and extensions."""
         bench_ids = {
             "table1", "table2", "table3", "table4", "table5",
             "fig5", "fig6", "fig7", "fig8", "fig9",
@@ -224,39 +240,6 @@ class TestRegistryAndSelection:
     def test_extensions_marked(self):
         for exp_id in ("tidle", "buffers", "ladder"):
             assert REPRO_EXPERIMENTS[exp_id].kind == "extension"
-
-    def test_every_bench_declares_valid_experiment_ids(self):
-        """Each bench links to the registry via EXPERIMENT_IDS.
-
-        Parsed statically (the bench files import their own conftest),
-        so this holds without running the benchmark harness.  Each file
-        is also compiled: ``ast.parse`` accepts a ``from __future__``
-        import placed after other statements, the compiler does not.
-        """
-        import ast
-
-        bench_dir = Path(__file__).resolve().parent.parent / "benchmarks"
-        declared = {}
-        for path in sorted(bench_dir.glob("bench_*.py")):
-            source = path.read_text()
-            compile(source, str(path), "exec")
-            tree = ast.parse(source)
-            ids = None
-            for node in tree.body:
-                if (isinstance(node, ast.Assign)
-                        and any(getattr(t, "id", None) == "EXPERIMENT_IDS"
-                                for t in node.targets)):
-                    ids = ast.literal_eval(node.value)
-            assert ids is not None, (
-                f"{path.name} does not declare EXPERIMENT_IDS"
-            )
-            declared[path.name] = ids
-        for name, ids in declared.items():
-            unknown = set(ids) - set(REPRO_EXPERIMENTS)
-            assert not unknown, f"{name} links unknown experiments {unknown}"
-        # Every bench-backed experiment id is claimed by exactly one bench.
-        claimed = [i for ids in declared.values() for i in ids]
-        assert len(claimed) == len(set(claimed))
 
     def test_selection_is_sorted_and_validated(self):
         entries = select_entries(["tidle", "fig5", "tidle"])
@@ -373,3 +356,114 @@ class TestExpectationsDiff:
             payload, "t.json", manifest["experiments"], "quick"
         )
         assert diff["status"] == "clean"
+
+
+def _raw_payload(e2e, exp_id: str) -> dict:
+    base, _, _ = e2e
+    raw = json.loads((base / "out" / "raw" / f"{exp_id}.json").read_text())
+    return raw["payload"]
+
+
+def _outcomes(exp_id: str, payloads: dict, scale: str = "quick") -> dict:
+    entries = [REPRO_EXPERIMENTS[exp_id]]
+    return {
+        c["text"]: c["holds"]
+        for c in evaluate_claims(entries, payloads, scale)[exp_id]
+    }
+
+
+def _swap_static_savings(payload: dict) -> dict:
+    """fig8 with DozzNoC's and LEAD's uncompressed static savings
+    swapped; headlines untouched."""
+    doctored = copy.deepcopy(payload)
+    headers = doctored["table"]["headers"]
+    col = headers.index("static_savings_pct")
+    rows = {
+        row[1]: row for row in doctored["table"]["rows"]
+        if row[0] == "uncompressed"
+    }
+    rows["dozznoc"][col], rows["lead"][col] = (
+        rows["lead"][col], rows["dozznoc"][col]
+    )
+    return doctored
+
+
+class TestClaims:
+    def test_every_entry_but_telemetry_declares_a_claim(self):
+        for exp_id, entry in REPRO_EXPERIMENTS.items():
+            if exp_id == "telemetry":
+                assert entry.claims == ()
+            else:
+                assert entry.claims, exp_id
+            for claim in entry.claims:
+                assert set(claim.needs) <= set(REPRO_EXPERIMENTS)
+
+    def test_fig8_claim_bites_when_lead_outsaves_dozznoc(self, e2e):
+        payload = _raw_payload(e2e, "fig8")
+        text = "DozzNoC saves at least 5 points more static energy than LEAD"
+        assert _outcomes("fig8", {"fig8": payload})[text] is True
+        doctored = _swap_static_savings(payload)
+        assert _outcomes("fig8", {"fig8": doctored})[text] is False
+
+    def test_fig9_claim_bites_when_ibu_is_weakest(self, e2e):
+        payload = _raw_payload(e2e, "fig9")
+        text = "IBU is the strongest single feature"
+        assert _outcomes("fig9", {"fig9": payload})[text] is True
+        doctored = copy.deepcopy(payload)
+        heads = doctored["headlines"]
+        heads["accuracy_ibu"] = min(heads.values()) - 0.01
+        assert _outcomes("fig9", {"fig9": doctored})[text] is False
+
+    def test_cross_experiment_claim_needs_both_payloads(self, e2e):
+        text = ("DozzNoC saves more static energy on the mesh than on the "
+                "cmesh (paper: 53% vs 39%)")
+        cmesh = {"cmesh": _raw_payload(e2e, "cmesh")}
+        assert _outcomes("cmesh", cmesh)[text] == "skipped"
+        both = {**cmesh, "fig8": _raw_payload(e2e, "fig8")}
+        assert _outcomes("cmesh", both)[text] is True
+
+    def test_paper_only_claim_applies_at_paper_scale(self, e2e):
+        payloads = {"fig7": _raw_payload(e2e, "fig7")}
+        text = ("DozzNoC spends over 5% of its epochs in M4-M7 on some "
+                "benchmark")
+        assert _outcomes("fig7", payloads)[text] == "skipped"
+        assert _outcomes("fig7", payloads, "paper")[text] is False
+
+    def test_failed_claim_exits_1_with_clean_expectations(
+        self, e2e, tmp_path, monkeypatch
+    ):
+        doctored = _swap_static_savings(_raw_payload(e2e, "fig8"))
+        entry = REPRO_EXPERIMENTS["fig8"]
+        monkeypatch.setitem(
+            REPRO_EXPERIMENTS, "fig8",
+            dataclasses.replace(entry, build=lambda ctx: doctored),
+        )
+        lines: list[str] = []
+        report = run_repro_all(
+            ReproOptions(scale="quick", out_dir=tmp_path / "out",
+                         only=("fig8",)),
+            log=lines.append,
+        )
+        assert report.manifest["expectations"]["status"] == "clean"
+        assert report.exit_code == 1
+        failed = [c["text"] for c in
+                  report.manifest["experiments"]["fig8"]["claims"]
+                  if c["holds"] is False]
+        assert ("DozzNoC saves at least 5 points more static energy than "
+                "LEAD") in failed
+        assert any("CLAIM FAILED fig8" in line for line in lines)
+        assert "FAILS" in (tmp_path / "out" / "report.html").read_text()
+
+
+def test_telemetry_entry_is_keyed_by_its_sim_task(tmp_path):
+    """The telemetry counters' cache key derives from the run's own
+    SimTask key, so one rule decides which inputs split a run key."""
+    from repro.exec.cache import telemetry_key
+    from repro.exec.pool import SimTask
+    from repro.traffic.suite import suite_for
+
+    ctx = ReproContext("quick", resolve_scale("quick", cache_dir=tmp_path))
+    REPRO_EXPERIMENTS["telemetry"].build(ctx)
+    trace = suite_for(ctx.scale).test[0]
+    key = telemetry_key(SimTask("dozznoc", trace, ctx.scale.sim).cache_key())
+    assert ctx.run_cache().get(key, "telemetry") is not None

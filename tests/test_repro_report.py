@@ -82,6 +82,7 @@ def _tiny_manifest():
                 "title": "An <experiment> & title",
                 "kind": "figure",
                 "headlines": {"x": 0.5, "n": 3},
+                "claims": [{"text": "x stays at one half", "holds": True}],
                 "files": {"raw": "raw/exp.json", "csv": "csv/exp.csv"},
             }
         },
@@ -136,6 +137,21 @@ class TestHtmlReport:
         html = render_html_report(manifest, {})
         assert 'class="fail">DRIFT' in html
         assert "value moved" in html
+
+    def test_claims_rendered_with_outcomes(self):
+        manifest = _tiny_manifest()
+        html = render_html_report(manifest, {})
+        assert '<td class="ok">holds</td>' in html
+        assert "1 held" in html
+        manifest["experiments"]["exp"]["claims"] += [
+            {"text": "n <is> 4", "holds": False},
+            {"text": "needs fig8", "holds": "skipped"},
+        ]
+        html = render_html_report(manifest, {})
+        assert '<td class="fail">FAILS</td>' in html
+        assert '<td class="muted">skipped</td>' in html
+        assert "n &lt;is&gt; 4" in html
+        assert '<span class="fail">1 failed</span>' in html
 
 
 class TestCanonicalJson:
@@ -240,6 +256,13 @@ class TestValidateManifest:
         del manifest["expectations"]
         assert validate_manifest(manifest, layout) == [
             "manifest missing key 'expectations'"
+        ]
+
+    def test_missing_claims_detected(self, tmp_path):
+        manifest, layout = self._written(tmp_path)
+        del manifest["experiments"]["exp"]["claims"]
+        assert validate_manifest(manifest, layout) == [
+            "exp: claims missing"
         ]
 
     def test_wrong_kind_detected(self, tmp_path):

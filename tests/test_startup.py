@@ -96,6 +96,10 @@ def test_warm_repro_all_loads_no_kernel(tmp_path):
     warm = _loaded_after(_run_cli(argv), cwd=tmp_path)
     assert "repro.experiments.repro_all" in warm
     assert not warm & set(_KERNEL), sorted(warm & set(_KERNEL))
+    # The warm run evaluated table1's claims from the replayed payload.
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    claims = manifest["experiments"]["table1"]["claims"]
+    assert claims and all(c["holds"] is True for c in claims)
 
 
 def test_code_version_matches_an_import_based_digest():

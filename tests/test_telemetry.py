@@ -296,11 +296,16 @@ def test_campaign_summary_merges_tasks_and_health(small_config, tmp_path):
         telemetry_dir=tmp_path,
         jobs=1,
     )
-    run_campaign(campaign)
+    result = run_campaign(campaign)
     assert validate_dir(tmp_path) == []
     meta, merged = dir_summary(tmp_path)  # picks campaign-summary.json
     assert meta["kind"] == "campaign"
     assert meta["pool"]["tasks"] == merged.metrics["pool_tasks_total"].value
+    # The runs the cache served are reported once, as pool_tasks_cached.
+    assert meta["pool"]["cached"] == result.resumed_tasks
+    assert merged.metrics["pool_tasks_cached"].value == result.resumed_tasks
+    assert "resumed_tasks" not in meta
+    assert not [n for n in merged.metrics if "resumed" in n]
 
     task_sets = [
         load_summary(p)[1] for p in sorted(tmp_path.glob("summary-*.json"))
