@@ -187,11 +187,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         label = f"{args.policy}-{trace.name}"
         series_path = write_series(args.telemetry, label, telemetry)
-        summary_path, prom_path = write_summary(
+        summary_path = write_summary(
             args.telemetry, label, telemetry.metrics, telemetry.meta
         )
         print(f"{'telemetry series':28s} {series_path}")
-        print(f"{'telemetry summary':28s} {summary_path} / {prom_path.name}")
+        print(f"{'telemetry summary':28s} {summary_path}")
         if prof is not None:
             from repro.telemetry.recorder import write_profile
 

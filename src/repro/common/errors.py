@@ -47,29 +47,6 @@ class TrafficError(ReproError):
     """A trace or traffic generator was used incorrectly."""
 
 
-class ExecError(ReproError):
-    """The parallel execution layer (:mod:`repro.exec`) failed."""
-
-
-class PoolTimeoutError(ExecError):
-    """One or more pool tasks exceeded their per-task wall-clock budget.
-
-    Timed-out tasks are *not* silently re-run inline — an inline retry of
-    a hanging task would hang the caller too.  ``indices`` identifies the
-    offending tasks (submission order); everything that completed before
-    the timeout has already been delivered through the caller's
-    ``on_result`` hook, so a checkpointed campaign can resume.
-    """
-
-    def __init__(self, indices: list[int], timeout: float | None) -> None:
-        super().__init__(
-            f"{len(indices)} pool task(s) exceeded the {timeout}s "
-            f"per-task timeout (indices {indices})"
-        )
-        self.indices = indices
-        self.timeout = timeout
-
-
 class TrainingError(ReproError):
     """The offline ML training pipeline failed."""
 

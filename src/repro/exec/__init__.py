@@ -5,9 +5,9 @@ The campaign and sweep experiments decompose into independent
 package provides the pieces that make paper-scale sweeps fast and
 resumable:
 
-* :mod:`repro.exec.pool` — a process-pool runner (``jobs=N``) with a
-  graceful serial fallback, producing bit-identical results to serial
-  execution,
+* :mod:`repro.exec.pool` — a process-pool runner (``jobs=N``) producing
+  bit-identical results to serial execution, in task order; a failing
+  task's exception reaches the caller,
 * :mod:`repro.exec.cache` — a content-addressed on-disk cache of
   simulation results and reactive training captures keyed by config,
   trace content, policy, weights and code version, so re-running a

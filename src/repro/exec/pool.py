@@ -7,12 +7,10 @@ independent of the others.  This module fans those tasks over a
 
 * ``jobs=1`` (the default) never spawns a pool — everything runs inline,
 * ``jobs<=0`` means "one worker per CPU",
-* tasks that cannot be pickled (ad-hoc feature sets built from closures,
-  monkeypatched configs, …) fall back to the serial path,
-* every task is its own future: a worker crash loses one task, completed
-  results are salvaged, stranded tasks are retried in a fresh pool and
-  finally inline (with a warning naming the counts) — correctness never
-  depends on the pool.
+* each fan-out owns one pool, shut down before it returns,
+* results come back in task order; a task's exception (or a broken
+  pool) propagates, and :func:`run_sim_tasks` has cached every result
+  before it, so a rerun resumes from the run cache.
 
 Workers receive task *descriptions* (policy name, trace arrays, config,
 weight vector) and rebuild policies locally, so results are bit-identical
@@ -28,19 +26,14 @@ worker from the module-level singletons.
 from __future__ import annotations
 
 import os
-import pickle
-import warnings
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from repro.common.config import SimConfig
-from repro.common.errors import PoolTimeoutError
 from repro.core.controller import make_policy
 from repro.core.features import FULL_FEATURES, REDUCED_FEATURES, FeatureSet
 from repro.core.modes import MAX_MODE, MIN_MODE
@@ -65,29 +58,14 @@ R = TypeVar("R")
 
 @dataclass
 class PoolHealth:
-    """Mutable counters describing how one fan-out actually executed.
+    """Mutable counters describing how one fan-out's tasks were served.
 
-    The campaign engine folds these into its telemetry aggregate so a
-    degraded run (broken pools, inline fallbacks, timeouts) is visible in
-    the emitted summary, not only as a transient ``RuntimeWarning``.
+    The campaign engine folds these into its telemetry aggregate.
     """
 
     tasks: int = 0  #: tasks handed to the exec layer (incl. cache hits)
     cached: int = 0  #: tasks answered from the run cache without simulating
-    salvaged: int = 0  #: results completed before a pool breakage, kept
-    retried: int = 0  #: tasks re-submitted to a fresh pool after breakage
-    inline: int = 0  #: tasks that exhausted pool retries and ran serially
-    timeouts: int = 0  #: tasks that overran their wall-clock budget
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "tasks": self.tasks,
-            "cached": self.cached,
-            "salvaged": self.salvaged,
-            "retried": self.retried,
-            "inline": self.inline,
-            "timeouts": self.timeouts,
-        }
 
 #: Feature sets addressable by name across process boundaries.
 _CANONICAL_FEATURE_SETS: dict[str, FeatureSet] = {
@@ -295,134 +273,38 @@ def effective_jobs(jobs: int | None, n_tasks: int) -> int:
     return max(1, min(jobs, n_tasks))
 
 
-def _picklable(obj: object) -> bool:
-    try:
-        pickle.dumps(obj)
-        return True
-    except Exception:
-        return False
-
-
-#: Distinguishes "not computed yet" from a legitimate ``None`` result.
-_UNSET = object()
-
-
 def map_tasks(
-    fn: Callable[[T], R],
-    tasks: Iterable[T],
-    jobs: int | None = 1,
-    on_result: Callable[[int, R], None] | None = None,
-    timeout: float | None = None,
-    pool_retries: int = 2,
-    health: PoolHealth | None = None,
-) -> list[R]:
-    """Apply ``fn`` to every task, preserving order.
+    fn: Callable[[T], R], tasks: Sequence[T], jobs: int | None = 1
+) -> Iterator[R]:
+    """Apply ``fn`` to every task, yielding results in task order.
 
-    Fans out over a process pool when ``jobs`` allows and the tasks are
-    picklable; otherwise runs serially.  The serial and parallel paths
-    execute identical per-task code, so results are the same either way.
-
-    Robustness contract:
-
-    * Every task is submitted as its **own future**, so one crashing
-      worker loses one task, not the batch.  Results that completed
-      before a pool breakage are *salvaged*, never recomputed.
-    * Tasks stranded by a broken pool are retried in a fresh pool (up to
-      ``pool_retries`` rounds) and finally inline; a ``RuntimeWarning``
-      names the salvaged / retried / inline counts so silent degradation
-      is impossible.
-    * ``on_result(index, result)`` fires the moment each task finishes
-      (in submission order), letting callers checkpoint incrementally.
-    * ``timeout`` bounds each task's wall-clock wait.  Timed-out tasks
-      raise :class:`repro.common.errors.PoolTimeoutError` — they are
-      deliberately **not** re-run inline, where the same hang would
-      block the caller forever.  Everything already finished has been
-      delivered through ``on_result`` first.
-    * ``health``, when given, receives the salvaged / retried / inline /
-      timeout counts (its ``tasks`` / ``cached`` fields are the caller's
-      to maintain), so degradation is observable after the warning scrolls
-      away.
+    One worker (see :func:`effective_jobs`) runs the tasks inline;
+    otherwise one process pool serves this call and is shut down before
+    the generator finishes, so no worker outlives it.  Both paths run
+    the same per-task code, so results are identical.  A task's
+    exception propagates to the caller, as does a broken pool; a rerun
+    resumes from whatever the caller has cached.
     """
-    tasks = list(tasks)
-    if not tasks:
-        return []
-    jobs = effective_jobs(jobs, len(tasks))
-    results: list = [_UNSET] * len(tasks)
-
-    def _finish(i: int, value) -> None:
-        results[i] = value
-        if on_result is not None:
-            on_result(i, value)
-
-    if jobs == 1 or not _picklable((fn, tasks)):
-        for i, task in enumerate(tasks):
-            _finish(i, fn(task))
-        return results
-
-    remaining = list(range(len(tasks)))
-    timed_out: list[int] = []
-    salvaged = -1  # results already done when the first breakage hit
-    retried: set[int] = set()
-    rounds = 0
-    while remaining and rounds <= pool_retries:
-        if rounds:
-            retried.update(remaining)
-        rounds += 1
-        round_timeouts = 0
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(remaining)))
+    workers = effective_jobs(jobs, len(tasks))
+    if workers == 1:
+        yield from map(fn, tasks)
+        return
+    with ProcessPoolExecutor(workers) as pool:
+        futures = [pool.submit(fn, task) for task in tasks]
         try:
-            futures = [(i, pool.submit(fn, tasks[i])) for i in remaining]
-            for i, fut in futures:
-                try:
-                    _finish(i, fut.result(timeout=timeout))
-                except FuturesTimeout:
-                    fut.cancel()
-                    timed_out.append(i)
-                    round_timeouts += 1
-                except BrokenProcessPool:
-                    pass  # stays in `remaining` for the next round
-        except (BrokenProcessPool, pickle.PicklingError, OSError):
-            pass  # submission-side breakage: unfinished tasks retry
+            for future in futures:
+                yield future.result()
         finally:
-            # A hung worker would block a waiting shutdown forever; when
-            # anything timed out, abandon the pool instead of joining it.
-            pool.shutdown(wait=round_timeouts == 0, cancel_futures=True)
-        remaining = [
-            i for i in remaining
-            if results[i] is _UNSET and i not in timed_out
-        ]
-        if remaining and salvaged < 0:
-            salvaged = len(tasks) - len(remaining) - len(timed_out)
-
-    if timed_out:
-        if health is not None:
-            health.timeouts += len(timed_out)
-        raise PoolTimeoutError(sorted(timed_out), timeout)
-    inline = len(remaining)
-    if health is not None:
-        health.salvaged += max(salvaged, 0) if (retried or inline) else 0
-        health.retried += len(retried)
-        health.inline += inline
-    for i in remaining:
-        _finish(i, fn(tasks[i]))
-    if retried or inline:
-        recovered = f"re-ran {len(retried)} task(s) in a fresh pool"
-        if inline:
-            recovered += f", {inline} inline"
-        warnings.warn(
-            f"process pool broke during fan-out: salvaged "
-            f"{max(salvaged, 0)} completed result(s), {recovered}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return results
+            # A failure (or a caller that stops reading) drops the tasks
+            # not yet started instead of running them before shutdown.
+            for future in futures:
+                future.cancel()
 
 
 def run_sim_tasks(
     tasks: Sequence[SimTask],
     jobs: int | None = 1,
     cache: RunCache | None = None,
-    timeout: float | None = None,
     health: PoolHealth | None = None,
 ) -> list[ModelMetrics]:
     """Run simulations through the cache, fanning misses over the pool.
@@ -430,11 +312,9 @@ def run_sim_tasks(
     Cache hits are returned without simulating; only the misses are
     dispatched.  Results come back in task order regardless of ``jobs``.
 
-    Each miss is cached **the moment it completes** — not after the
-    whole batch — so an interrupted campaign loses at most the in-flight
-    tasks and resumes from the cache on the next attempt.
-    ``timeout`` bounds each task's wall-clock time (see
-    :func:`map_tasks`).
+    Each miss is cached **the moment it arrives**, not after the whole
+    batch, so an interrupted or failed campaign loses at most the tasks
+    after it and resumes from the cache on the next attempt.
     """
     tasks = list(tasks)
     results: list[ModelMetrics | None] = [None] * len(tasks)
@@ -453,21 +333,11 @@ def run_sim_tasks(
                 continue
         pending.append((i, task, key))
 
-    def _checkpoint(j: int, metrics: "ModelMetrics") -> None:
-        i, _, key = pending[j]
+    done = map_tasks(execute_sim_task, [t for _, t, _ in pending], jobs)
+    for (i, _, key), metrics in zip(pending, done, strict=True):
         results[i] = metrics
         if key is not None:
             cache.put(key, metrics)
-
-    map_tasks(
-        execute_sim_task,
-        [t for _, t, _ in pending],
-        jobs,
-        on_result=_checkpoint,
-        timeout=timeout,
-        health=health,
-    )
-    assert all(m is not None for m in results)
     return results  # type: ignore[return-value]
 
 
@@ -519,7 +389,7 @@ def run_capture_tasks(
                 feature_set_spec(task.captured_set()),
             )
     captured = map_tasks(execute_capture_task, list(pending.values()), jobs)
-    for (key, member), capture in zip(pending, captured):
+    for (key, member), capture in zip(pending, captured, strict=True):
         entries[key][member] = capture
     if cache is not None:
         for key in dict.fromkeys(key for key, _ in pending):

@@ -74,16 +74,12 @@ class CampaignConfig:
     #: Attach invariant auditors (repro.validate) to every evaluation run;
     #: audits raise AuditError on violation and never change results.
     audit: bool = False
-    #: Per-task wall-clock budget in seconds (None = unbounded).  A task
-    #: overrunning it raises PoolTimeoutError instead of hanging the
-    #: campaign; completed work is already checkpointed.
-    task_timeout: float | None = None
     #: When set, every evaluation run writes its per-epoch series and
     #: mergeable summary into this directory, and the campaign writes a
-    #: merged ``campaign-summary.json`` / ``.prom`` plus phase wall-clock
-    #: timers and pool-health counters.  Telemetry never changes results
-    #: and is not part of any cache key; cache hits therefore emit no
-    #: fresh per-task series (they are counted as ``pool_tasks_cached``).
+    #: merged ``campaign-summary.json`` plus phase wall-clock timers and
+    #: pool-health counters.  Telemetry never changes results and is not
+    #: part of any cache key; cache hits therefore emit no fresh per-task
+    #: series (they are counted as ``pool_tasks_cached``).
     telemetry_dir: str | Path | None = None
 
 
@@ -199,7 +195,7 @@ def write_campaign_telemetry(
     health: PoolHealth,
     campaign: CampaignConfig,
 ) -> Path:
-    """Merge per-task telemetry into ``campaign-summary.json`` + ``.prom``.
+    """Merge per-task telemetry into ``campaign-summary.json``.
 
     The campaign aggregate is the *exact* associative merge of every
     per-task summary in the directory (order-independent, so it does not
@@ -208,7 +204,7 @@ def write_campaign_telemetry(
     ``pool_tasks_cached`` counts the tasks the run cache served, which
     :attr:`CampaignResult.resumed_tasks` reports too.
     """
-    from repro.telemetry import merge_metric_sets, prometheus_text
+    from repro.telemetry import merge_metric_sets
     from repro.telemetry.diff import CAMPAIGN_SUMMARY
     from repro.telemetry.io import load_summary, summary_payload
 
@@ -216,10 +212,6 @@ def write_campaign_telemetry(
     for name, value in (
         ("pool_tasks_total", health.tasks),
         ("pool_tasks_cached", health.cached),
-        ("pool_tasks_salvaged", health.salvaged),
-        ("pool_tasks_retried", health.retried),
-        ("pool_tasks_inline", health.inline),
-        ("pool_tasks_timeout", health.timeouts),
     ):
         recorder.metrics.counter(
             name, help=f"exec-layer health: {name.replace('_', ' ')}"
@@ -233,7 +225,7 @@ def write_campaign_telemetry(
         "jobs": campaign.jobs,
         "duration_ns": campaign.duration_ns,
         "seed": campaign.seed,
-        "pool": health.as_dict(),
+        "pool": dataclasses.asdict(health),
         "merged_from": [p.name for p in task_paths],
     }
     json_path = directory / CAMPAIGN_SUMMARY
@@ -241,8 +233,6 @@ def write_campaign_telemetry(
         json.dumps(summary_payload(merged, meta), indent=2, sort_keys=True)
         + "\n"
     )
-    prom = directory / (CAMPAIGN_SUMMARY.rsplit(".", 1)[0] + ".prom")
-    prom.write_text(prometheus_text(merged))
     return json_path
 
 
@@ -340,8 +330,8 @@ def run_campaign(
     Every evaluation run is cached the moment it finishes, so a killed
     campaign rerun over the same cache simulates only what had not
     finished; the runs served from the cache are ``resumed_tasks``.
-    With ``campaign.telemetry_dir`` set, the exec layer's degradation
-    counters and phase timers go into the merged telemetry summary.
+    With ``campaign.telemetry_dir`` set, the exec layer's task counters
+    and phase timers go into the merged telemetry summary.
     """
     jobs = campaign.jobs if jobs is None else jobs
     if cache is None:
@@ -375,8 +365,7 @@ def run_campaign(
     ]
     with _phase(recorder, "simulate"):
         results = iter(run_sim_tasks(
-            tasks, jobs=jobs, cache=cache, timeout=campaign.task_timeout,
-            health=health,
+            tasks, jobs=jobs, cache=cache, health=health,
         ))
     if recorder is not None:
         write_campaign_telemetry(

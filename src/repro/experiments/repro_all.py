@@ -10,7 +10,7 @@ payload of the shape::
      "data":      {...}}                  # full structured result
 
 :func:`run_repro_all` drives the selected entries through the existing
-campaign engine (inheriting the run cache, salvage/retry and telemetry merge via ``--cache-dir``/``--jobs``),
+campaign engine (inheriting the run cache, process pool and telemetry merge via ``--cache-dir``/``--jobs``),
 layers an :class:`~repro.experiments.artifact.ExperimentMemo` on top so
 a second invocation over the same cache directory replays every payload
 from disk, writes the schema-versioned ``out/`` tree (raw JSON + CSV +
@@ -547,7 +547,6 @@ class ReproEntry:
     id: str
     title: str
     kind: str  # "table" | "figure" | "text" | "extension"
-    needs_simulation: bool
     build: Callable[[ReproContext], dict]
     claims: tuple[Claim, ...] = ()
 
@@ -555,40 +554,40 @@ class ReproEntry:
 REPRO_EXPERIMENTS: dict[str, ReproEntry] = {
     e.id: e
     for e in (
-        ReproEntry("table1", "Table I: LDO dropout ranges", "table", False,
+        ReproEntry("table1", "Table I: LDO dropout ranges", "table",
                    _table_payload("table1"), CLAIMS["table1"]),
         ReproEntry("table2", "Table II: switch-latency matrix", "table",
-                   False, _table_payload("table2"), CLAIMS["table2"]),
-        ReproEntry("table3", "Table III: cycle costs", "table", False,
+                   _table_payload("table2"), CLAIMS["table2"]),
+        ReproEntry("table3", "Table III: cycle costs", "table",
                    _table_payload("table3"), CLAIMS["table3"]),
-        ReproEntry("table4", "Table IV: reduced feature set", "table", False,
+        ReproEntry("table4", "Table IV: reduced feature set", "table",
                    _table_payload("table4"), CLAIMS["table4"]),
-        ReproEntry("table5", "Table V: power model", "table", False,
+        ReproEntry("table5", "Table V: power model", "table",
                    _table_payload("table5"), CLAIMS["table5"]),
-        ReproEntry("fig5", "Fig 5: regulator transients", "figure", False,
+        ReproEntry("fig5", "Fig 5: regulator transients", "figure",
                    _build_fig5, CLAIMS["fig5"]),
-        ReproEntry("fig6", "Fig 6: delivery efficiency", "figure", False,
+        ReproEntry("fig6", "Fig 6: delivery efficiency", "figure",
                    _build_fig6, CLAIMS["fig6"]),
-        ReproEntry("fig7", "Fig 7: DVFS mode distribution", "figure", True,
+        ReproEntry("fig7", "Fig 7: DVFS mode distribution", "figure",
                    _build_fig7, CLAIMS["fig7"]),
         ReproEntry("fig8", "Fig 8: throughput + normalized energy",
-                   "figure", True, _build_fig8, CLAIMS["fig8"]),
+                   "figure", _build_fig8, CLAIMS["fig8"]),
         ReproEntry("fig9", "Fig 9/11: single-feature accuracy", "figure",
-                   True, _build_fig9, CLAIMS["fig9"]),
+                   _build_fig9, CLAIMS["fig9"]),
         ReproEntry("cmesh", "IV.B.2: concentrated-mesh results", "text",
-                   True, _build_cmesh, CLAIMS["cmesh"]),
+                   _build_cmesh, CLAIMS["cmesh"]),
         ReproEntry("epoch_sweep", "IV.B.1: epoch-size trade-off", "text",
-                   True, _build_epoch_sweep, CLAIMS["epoch_sweep"]),
+                   _build_epoch_sweep, CLAIMS["epoch_sweep"]),
         ReproEntry("feature_ablation", "IV.B.1: 5 vs 41 features", "text",
-                   True, _build_feature_ablation, CLAIMS["feature_ablation"]),
+                   _build_feature_ablation, CLAIMS["feature_ablation"]),
         ReproEntry("tidle", "III.B: T-Idle trade-off (extension)",
-                   "extension", True, _build_tidle, CLAIMS["tidle"]),
+                   "extension", _build_tidle, CLAIMS["tidle"]),
         ReproEntry("buffers", "buffer-depth sweep (extension)", "extension",
-                   True, _build_buffers, CLAIMS["buffers"]),
+                   _build_buffers, CLAIMS["buffers"]),
         ReproEntry("ladder", "DVFS-ladder granularity (extension)",
-                   "extension", True, _build_ladder, CLAIMS["ladder"]),
+                   "extension", _build_ladder, CLAIMS["ladder"]),
         ReproEntry("telemetry", "deterministic telemetry counters "
-                   "(extension)", "extension", True, _build_telemetry),
+                   "(extension)", "extension", _build_telemetry),
     )
 }
 

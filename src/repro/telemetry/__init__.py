@@ -36,7 +36,6 @@ from repro.telemetry.diff import (
 from repro.telemetry.io import (
     TELEMETRY_SCHEMA,
     load_summary,
-    prometheus_text,
     validate_dir,
     write_series,
     write_summary,
@@ -71,7 +70,6 @@ __all__ = [
     "load_summary",
     "maybe_cprofile",
     "merge_metric_sets",
-    "prometheus_text",
     "quantize",
     "validate_dir",
     "write_profile",

@@ -1,13 +1,11 @@
-"""Serialization of telemetry runs: JSONL series, JSON/Prometheus summaries.
+"""Serialization of telemetry runs: JSONL series and JSON summaries.
 
 One telemetry directory holds, per run (or per campaign task):
 
 * ``series-<label>.jsonl`` — header line + time-ordered epoch rows,
 * ``summary-<label>.json`` — the mergeable metric-set aggregate,
-* ``summary-<label>.prom`` — the same aggregate as Prometheus text
-  exposition (counters, gauges, classic cumulative ``_bucket`` series),
 
-plus, for campaigns, a merged ``campaign-summary.json`` / ``.prom``.
+plus, for campaigns, a merged ``campaign-summary.json``.
 :func:`validate_dir` checks every artifact against the schema — used by
 ``dozznoc telemetry --check``, the CI smoke job, and the tests.
 """
@@ -80,49 +78,16 @@ def write_summary(
     label: str,
     metrics: MetricSet,
     meta: dict | None = None,
-) -> tuple[Path, Path]:
-    """Write one summary as JSON + Prometheus text; returns both paths."""
+) -> Path:
+    """Write one summary as JSON; returns its path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    stem = safe_label(label)
-    json_path = directory / f"summary-{stem}.json"
-    json_path.write_text(
+    path = directory / f"summary-{safe_label(label)}.json"
+    path.write_text(
         json.dumps(summary_payload(metrics, meta), indent=2, sort_keys=True)
         + "\n"
     )
-    prom_path = directory / f"summary-{stem}.prom"
-    prom_path.write_text(prometheus_text(metrics))
-    return json_path, prom_path
-
-
-def prometheus_text(metrics: MetricSet) -> str:
-    """Render a metric set as Prometheus text exposition format."""
-    lines: list[str] = []
-    for name, metric in sorted(metrics.metrics.items()):
-        data = metric.to_dict()
-        kind = data["kind"]
-        if data.get("help"):
-            lines.append(f"# HELP {name} {data['help']}")
-        if kind == "counter":
-            lines.append(f"# TYPE {name} counter")
-            lines.append(f"{name} {data['value']}")
-        elif kind == "gauge":
-            lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name} {data['last']}")
-            for stat in ("min", "max", "sum", "count"):
-                v = data[stat]
-                lines.append(f"{name}_{stat} {0 if v is None else v}")
-        else:  # histogram
-            lines.append(f"# TYPE {name} histogram")
-            cum = 0
-            for bound, count in zip(data["bounds"], data["counts"]):
-                cum += count
-                lines.append(f'{name}_bucket{{le="{bound}"}} {cum}')
-            cum += data["counts"][-1]
-            lines.append(f'{name}_bucket{{le="+Inf"}} {cum}')
-            lines.append(f"{name}_sum {data['sum']}")
-            lines.append(f"{name}_count {data['count']}")
-    return "\n".join(lines) + "\n"
+    return path
 
 
 # ---------------------------------------------------------------------- #

@@ -7,7 +7,7 @@ govern everything here:
   (model, trace) over a process pool; each worker produces its own
   :class:`MetricSet` and the campaign folds them into one aggregate.  The
   fold must give bit-identical results no matter how the work was split
-  (``--jobs 1`` vs ``--jobs 8``, salvage retries, resume from the run cache), so
+  (``--jobs 1`` vs ``--jobs 8``, resume from the run cache), so
   every merge is integer arithmetic: counters and histogram bucket counts
   are Python ints (arbitrary precision — associative by construction),
   histogram *sums* of integer observations stay ints, and gauges resolve

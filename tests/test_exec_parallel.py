@@ -2,14 +2,20 @@
 
 The exec layer's contract is that ``jobs`` only changes wall-clock time:
 every (model, trace) simulation and every training run executes identical
-per-task code, and results are reassembled in submission order.
+per-task code, and results are reassembled in submission order.  A
+failing task's exception reaches the caller, no worker outlives a
+fan-out, and every result before the failure is already cached.
 """
+
+import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.common.config import SimConfig
 from repro.core.features import FULL_FEATURES, REDUCED_FEATURES
+from repro.exec.cache import RunCache
 from repro.exec.pool import (
     SimTask,
     effective_jobs,
@@ -65,22 +71,36 @@ class TestCampaignDeterminism:
                 assert norm == parallel.normalized[trace_name][model]
 
 
+def _square(x: int) -> int:
+    return x * x
+
+
+def _fail_on_three(x: int) -> int:
+    if x == 3:
+        raise ValueError("task 3 failed")
+    return x
+
+
 class TestMapTasks:
     def test_serial_matches_parallel(self):
         tasks = list(range(20))
-        assert map_tasks(_square, tasks, jobs=1) == map_tasks(
-            _square, tasks, jobs=3
+        assert list(map_tasks(_square, tasks, jobs=1)) == list(
+            map_tasks(_square, tasks, jobs=3)
         )
+        assert multiprocessing.active_children() == []
 
-    def test_unpicklable_fn_falls_back_to_serial(self):
-        # A lambda cannot cross a process boundary; the pool layer must
-        # quietly do the work inline instead of crashing.
-        offset = 7
-        out = map_tasks(lambda x: x + offset, [1, 2, 3], jobs=4)
-        assert out == [8, 9, 10]
+    @pytest.mark.parametrize(
+        "fn, error",
+        [(_fail_on_three, ValueError), (lambda x: x, pickle.PicklingError)],
+        ids=["raising-task", "unpicklable-fn"],
+    )
+    def test_failure_propagates_and_leaves_no_worker(self, fn, error):
+        with pytest.raises(error):
+            list(map_tasks(fn, [1, 2, 3, 4], jobs=2))
+        assert multiprocessing.active_children() == []
 
     def test_empty_task_list(self):
-        assert map_tasks(_square, [], jobs=4) == []
+        assert list(map_tasks(_square, [], jobs=4)) == []
 
     def test_effective_jobs(self):
         assert effective_jobs(1, 100) == 1
@@ -88,10 +108,6 @@ class TestMapTasks:
         assert effective_jobs(None, 8) >= 1
         assert effective_jobs(0, 8) >= 1
         assert effective_jobs(-3, 8) >= 1
-
-
-def _square(x: int) -> int:
-    return x * x
 
 
 class TestSimTaskFanout:
@@ -108,6 +124,23 @@ class TestSimTaskFanout:
         parallel = run_sim_tasks(tasks, jobs=2)
         for a, b in zip(serial, parallel):
             assert vars(a) == vars(b)
+
+    def test_results_before_a_failure_are_cached(self, tmp_path):
+        trace = generate_benchmark_trace(
+            "blackscholes", num_cores=QUICK_SIM.num_cores,
+            duration_ns=500.0, seed=1,
+        )
+        tasks = [
+            SimTask(policy=policy, trace=trace, sim=QUICK_SIM)
+            for policy in ("baseline", "pg", "no-such-policy")
+        ]
+        cache = RunCache(tmp_path / "runs")
+        with pytest.raises(ValueError, match="no-such-policy"):
+            run_sim_tasks(tasks, jobs=2, cache=cache)
+        on_disk = RunCache(tmp_path / "runs")
+        assert on_disk.get(tasks[0].cache_key()) is not None
+        assert on_disk.get(tasks[1].cache_key()) is not None
+        assert multiprocessing.active_children() == []
 
 
 class TestFeatureSetSpecs:

@@ -76,7 +76,7 @@ class TestCampaignResume:
         assert second.resumed_tasks == n_eval_tasks
         assert _table(second) == _table(first)
 
-    def test_partial_journal_resumes_partially(self, tmp_path):
+    def test_partial_cache_resumes_partially(self, tmp_path):
         # An "interrupted" first attempt: only a subset of the models ran
         # to completion before the campaign died.
         run_campaign(_campaign(tmp_path, models=("baseline",)))

@@ -23,7 +23,6 @@ from repro.telemetry import (
     format_diff,
     diff_summaries,
     load_summary,
-    prometheus_text,
     validate_dir,
     write_series,
     write_summary,
@@ -149,7 +148,7 @@ def test_series_capture_can_be_disabled(small_config):
 def test_artifacts_round_trip_and_validate(recorded, tmp_path):
     tel, _ = recorded
     series = write_series(tmp_path, "t", tel)
-    summary, prom = write_summary(tmp_path, "t", tel.metrics, tel.meta)
+    summary = write_summary(tmp_path, "t", tel.metrics, tel.meta)
     assert validate_dir(tmp_path) == []
 
     header, rows = iter_series(series)
@@ -159,10 +158,6 @@ def test_artifacts_round_trip_and_validate(recorded, tmp_path):
     meta, metrics = load_summary(summary)
     assert meta == tel.meta
     assert metrics.to_dict() == tel.metrics.to_dict()
-
-    text = prom.read_text()
-    assert "# TYPE epochs_total counter" in text
-    assert 'wake_latency_ticks_bucket{le="+Inf"}' in text
 
 
 def test_validation_catches_corruption(recorded, tmp_path):
@@ -237,7 +232,6 @@ def test_pool_health_counts_cache_hits(small_config, tmp_path):
     again = run_sim_tasks(tasks, jobs=1, cache=cache, health=health)
     assert health.tasks == 2 and health.cached == 2
     assert len(again) == 2
-    assert health.as_dict()["timeouts"] == 0
 
 
 def test_cli_run_and_telemetry_subcommand(tmp_path, capsys):
