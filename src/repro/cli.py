@@ -553,7 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro.add_argument(
         "--backend", choices=["object", "array"], default="array",
         help="simulator kernel for every simulation-backed experiment "
-             "(default: array; both emit identical bytes)",
+             "(default: array; both give identical csv/ bytes and "
+             "headlines)",
     )
     p_repro.add_argument("--out", default="out", metavar="DIR",
                          help="artifact root (default: out/)")

@@ -4,9 +4,10 @@ The run cache (:mod:`repro.exec.cache`) and the experiment memo
 (:mod:`repro.experiments.artifact`) key their entries by a digest of the
 source files that can change a result: the kernel's for runs and
 captures, the traffic generator's for suites, the recorder's (with the
-kernel's) for telemetry counters.  Reading those files by path keeps
-the digests free of numpy and of the kernel, so a warm ``repro-all``
-computes every memo key without importing the simulator.
+kernel's) for telemetry counters, the ridge fit's (with the kernel's)
+for trained weights.  Reading those files by path keeps the digests
+free of numpy and of the kernel, so a warm ``repro-all`` computes every
+memo key without importing the simulator.
 """
 
 from __future__ import annotations
@@ -64,6 +65,15 @@ _TELEMETRY_MODULES: tuple[str, ...] = (
 )
 
 
+#: The offline fit's modules outside ``_VERSIONED_MODULES``; a weights
+#: cache entry hashes these on top of its training set's capture key.
+_TRAINING_MODULES: tuple[str, ...] = (
+    "repro.ml.metrics",
+    "repro.ml.ridge",
+    "repro.ml.training",
+)
+
+
 def hash_sources(h: "hashlib._Hash", names: tuple[str, ...]) -> None:
     """Feed each module's dotted name, then its source bytes, into ``h``.
 
@@ -100,3 +110,8 @@ def traffic_version() -> str:
 def telemetry_version() -> str:
     """Digest of the telemetry recorder's own source files."""
     return source_digest(_TELEMETRY_MODULES)
+
+
+def training_version() -> str:
+    """Digest of the ridge fit's own source files."""
+    return source_digest(_TRAINING_MODULES)

@@ -9,10 +9,11 @@ resumable:
   bit-identical results to serial execution, in task order; a failing
   task's exception reaches the caller,
 * :mod:`repro.exec.cache` — a content-addressed on-disk cache of
-  simulation results and reactive training captures keyed by config,
-  trace content, policy, weights and code version, so re-running a
-  campaign only simulates what changed (plus the benchmark suites and
-  the telemetry experiment's counters those runs read and report).
+  simulation results, reactive training captures and trained weights
+  keyed by config, trace content, policy, weights and code version, so
+  re-running a campaign only simulates and fits what changed (plus the
+  benchmark suites and the telemetry experiment's counters those runs
+  read and report).
   Each run is cached the moment it finishes, so the cache is also the
   resume record: a killed campaign rerun over the same cache simulates
   only what had not finished.

@@ -1,15 +1,15 @@
 """Content-addressed on-disk cache for simulation results.
 
-Mirrors what :func:`repro.exec.pool.run_train_tasks` does for trained
-weights, but for *simulation runs* and what they read.  A
-:class:`RunCache` stores four entry kinds, each under its own file
-prefix and key:
+A :class:`RunCache` stores every result a campaign computes and reads,
+in five entry kinds, each under its own file prefix and key:
 
 * ``run`` — one :class:`~repro.experiments.runner.ModelMetrics` per
   evaluation run (JSON),
 * ``capture`` — the reactive training captures of one (policy, config,
   feature set, training set), one ``(X, y)`` dataset per trace
   (``.npz``; see :func:`capture_key`),
+* ``weights`` — one ML model's trained ridge weight vector (``.npz``;
+  see :func:`weights_key`),
 * ``suite`` — one plain 14-trace benchmark suite, every trace's columns
   and name (``.npz``; see :func:`suite_key`),
 * ``telemetry`` — the counters and drain flag of one telemetry-recorded
@@ -28,12 +28,13 @@ Run and capture keys hash everything that determines the run's outcome:
 
 A suite key hashes only its recipe and the traffic generator's sources,
 so a kernel edit keeps every suite; a telemetry key is its run's key
-plus the recorder's sources.
+plus the recorder's sources; a weights key is its training set's
+capture key plus the fit's sources, validation traces and lambda sweep.
 
 Entries are written atomically (temp file + rename).  A read validates
 the schema, the embedded key, and the payload's fields; anything
 corrupted, truncated, or stale is **discarded, never trusted** — the run
-is simply re-simulated (or the suite regenerated).
+is simply re-simulated (the suite regenerated, the model refitted).
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from repro.common.sources import (  # noqa: F401
     _VERSIONED_MODULES,
     code_version,
     telemetry_version,
+    training_version,
     traffic_version,
 )
 from repro.traffic.suite import SUITE_ORDER
@@ -167,6 +169,27 @@ def capture_key(
         f"features={feature_set_name}:{','.join(feature_names)}",
         f"config={_config_digest_parts(config)}",
         f"group={group}",
+    ]
+    return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:24]
+
+
+def weights_key(capture: str, validation: str,
+                lambdas: tuple[float, ...]) -> str:
+    """The content address of one model's trained weights.
+
+    ``capture`` is the :func:`capture_key` of the model's training set
+    (at the model's own feature set), so the schema, code version,
+    policy, features, config and training traces are already in it; the
+    fit's own sources, the validation set's :func:`training_set_group`
+    string and the lambda sweep (exact ``repr``) join it here.
+    """
+    parts = [
+        f"schema={SCHEMA_VERSION}",
+        f"training={training_version()}",
+        "kind=weights",
+        f"capture={capture}",
+        f"validation={validation}",
+        f"lambdas={','.join(repr(float(lam)) for lam in lambdas)}",
     ]
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:24]
 
@@ -284,6 +307,25 @@ def _decode_capture(key: str, data: bytes) -> Captures:
     return captures
 
 
+def _encode_weights(key: str, weights: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, schema=SCHEMA_VERSION, key=key, weights=weights)
+    return buf.getvalue()
+
+
+def _decode_weights(key: str, data: bytes) -> np.ndarray:
+    """Rebuild one weight vector, byte for byte; raises on any
+    inconsistency."""
+    with np.load(io.BytesIO(data), allow_pickle=False) as entry:
+        _check_header(entry, key)
+        weights = entry["weights"]
+    if weights.dtype != np.float64 or weights.ndim != 1:
+        raise ValueError(
+            f"weights mismatch: {weights.dtype}, {weights.shape}"
+        )
+    return weights
+
+
 #: Column -> dtype of every trace in a suite entry (as generated).
 _TRACE_COLUMNS = {
     "src": np.int32, "dst": np.int32, "kind": np.uint8, "t_ns": np.float64,
@@ -351,6 +393,7 @@ def _decode_telemetry(key: str, data: bytes) -> Telemetry:
 _KINDS = {
     "run": ("json", _encode_run, _decode_run),
     "capture": ("npz", _encode_capture, _decode_capture),
+    "weights": ("npz", _encode_weights, _decode_weights),
     "suite": ("npz", _encode_suite, _decode_suite),
     "telemetry": ("json", _encode_telemetry, _decode_telemetry),
 }
@@ -366,7 +409,8 @@ class RunCache:
         entry, named ``<kind>-<key>.<suffix>``: ``run-<key>.json`` holds
         a :class:`ModelMetrics`, ``capture-<key>.npz`` the training
         captures of one (policy, config, feature set, training set),
-        per trace, ``suite-<key>.npz`` one plain benchmark suite and
+        per trace, ``weights-<key>.npz`` one model's trained weights,
+        ``suite-<key>.npz`` one plain benchmark suite and
         ``telemetry-<key>.json`` one recorded run's counters.
     """
 

@@ -26,6 +26,7 @@ worker from the module-level singletons.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,13 +38,17 @@ from repro.common.config import SimConfig
 from repro.core.controller import make_policy
 from repro.core.features import FULL_FEATURES, REDUCED_FEATURES, FeatureSet
 from repro.core.modes import MAX_MODE, MIN_MODE
-from repro.exec.cache import RunCache, capture_key, run_cache_for, run_key
-from repro.ml.ridge import RidgeModel
+from repro.exec.cache import (
+    RunCache,
+    capture_key,
+    run_cache_for,
+    run_key,
+    weights_key,
+)
 from repro.ml.training import (
     DEFAULT_LAMBDAS,
     TrainingResult,
     fit_policy_model,
-    ridge_cache_path,
     stack_dataset,
 )
 from repro.noc.simulator import run_simulation
@@ -216,6 +221,20 @@ class TrainTask:
     lambdas: tuple[float, ...] = DEFAULT_LAMBDAS
     cache_dir: str | Path | None = None
 
+    def cache_key(self) -> str:
+        """Address of this model's weights: everything the fit reads.
+
+        The training set's capture key (at this task's own feature set)
+        covers the schema, code version, policy, features, config and
+        training traces; :func:`weights_key` adds the fit's sources, the
+        validation traces and the lambda sweep.
+        """
+        fs = resolve_feature_set(self.feature_set)
+        capture = capture_key(self.policy, self.sim, fs.names, fs.name,
+                              training_set_group(self.train_traces))
+        validation = training_set_group(self.validation_traces)
+        return weights_key(capture, validation, self.lambdas)
+
 
 def execute_sim_task(task: SimTask) -> "ModelMetrics":
     """Worker body: run one simulation and reduce it to its metrics."""
@@ -366,7 +385,8 @@ def run_capture_tasks(
     one run.  Hits come from ``cache`` (its ``capture`` entries, one per
     policy, config, captured set and task ``group``, holding every trace
     of the group captured so far); misses fan out over the pool, and
-    each touched entry is written back once the batch ends.  Two
+    each touched entry is written back as soon as its last pending
+    member arrives, so a failure later in the batch keeps it.  Two
     processes sharing a cache may drop each other's new members (the
     last write wins whole); a dropped member is recaptured, never
     misread.  Every result is sliced to its own task's feature set and
@@ -388,11 +408,12 @@ def run_capture_tasks(
                 task.policy, task.trace, task.sim,
                 feature_set_spec(task.captured_set()),
             )
+    left = Counter(key for key, _ in pending)
     captured = map_tasks(execute_capture_task, list(pending.values()), jobs)
     for (key, member), capture in zip(pending, captured, strict=True):
         entries[key][member] = capture
-    if cache is not None:
-        for key in dict.fromkeys(key for key, _ in pending):
+        left[key] -= 1
+        if cache is not None and not left[key]:
             cache.put(key, entries[key], kind="capture")
     return [
         _columns(entries[key][member], task.captured_set().names,
@@ -446,46 +467,21 @@ def run_train_tasks(
 ) -> list[np.ndarray]:
     """Train several models' weights (order preserved).
 
-    A model whose weights are in the ridge cache under its ``cache_dir``
-    loads them; the others train together through :func:`train_models`
-    and publish theirs.
+    A model whose ``weights`` entry is in the run cache under its
+    ``cache_dir`` reads it; the others train together through
+    :func:`train_models` and their weights are cached there.
     """
     tasks = list(tasks)
-    paths = [
-        ridge_cache_path(
-            t.policy, t.train_traces, t.validation_traces, t.sim,
-            resolve_feature_set(t.feature_set), t.lambdas, t.cache_dir,
-        )
-        for t in tasks
-    ]
+    caches = [run_cache_for(t.cache_dir) for t in tasks]
+    keys = [None if c is None else t.cache_key()
+            for t, c in zip(tasks, caches)]
     weights = [
-        RidgeModel.load(p).weights if p is not None and p.exists() else None
-        for p in paths
+        None if c is None else c.get(key, kind="weights")
+        for c, key in zip(caches, keys)
     ]
     todo = [i for i, w in enumerate(weights) if w is None]
     for i, result in zip(todo, train_models([tasks[i] for i in todo], jobs)):
-        if paths[i] is not None:
-            _publish_ridge(paths[i], result.model)
         weights[i] = result.model.weights
+        if caches[i] is not None:
+            caches[i].put(keys[i], weights[i], kind="weights")
     return weights
-
-
-def _publish_ridge(path: Path, model: RidgeModel) -> None:
-    """Save trained weights atomically.
-
-    Two processes sharing one cache dir may train the same model
-    concurrently.  Each stages a per-pid .npz and renames it whole, so a
-    reader never loads a half-written archive (training is
-    deterministic, so whichever rename lands last is byte-identical
-    anyway).
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.stem}-{os.getpid()}.npz")
-    try:
-        model.save(tmp)
-        os.replace(tmp, path)
-    finally:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass

@@ -58,8 +58,9 @@ class CampaignConfig:
     """Everything that parameterizes one campaign.
 
     ``jobs`` is the worker-process count for the exec layer (1 = serial,
-    <=0 = one per CPU); ``cache_dir`` enables both the trained-weights
-    cache and the content-addressed simulation-result cache.
+    <=0 = one per CPU); ``cache_dir`` enables the content-addressed run
+    cache, which holds the evaluation runs, training captures and
+    trained weights alike.
     """
 
     sim: SimConfig = field(default_factory=SimConfig.paper_mesh)

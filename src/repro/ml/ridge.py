@@ -24,7 +24,6 @@ stability; the normal matrix is symmetric positive definite for any
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -48,25 +47,6 @@ class RidgeModel:
                 f"{self.weights.shape[0]}-weight model"
             )
         return x @ self.weights
-
-    def save(self, path: str | Path) -> None:
-        """Persist to ``.npz`` (weights, lambda, feature names)."""
-        np.savez(
-            Path(path),
-            weights=self.weights,
-            lam=np.float64(self.lam),
-            feature_names=np.array(self.feature_names, dtype=object),
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RidgeModel":
-        """Load a model written by :meth:`save`."""
-        with np.load(Path(path), allow_pickle=True) as data:
-            return cls(
-                weights=np.asarray(data["weights"], dtype=float),
-                lam=float(data["lam"]),
-                feature_names=tuple(str(n) for n in data["feature_names"]),
-            )
 
 
 def fit_ridge(

@@ -21,9 +21,7 @@ matching the paper's per-epoch-size training.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +30,7 @@ from repro.common.errors import TrainingError
 from repro.core.features import REDUCED_FEATURES, FeatureSet
 from repro.ml.metrics import mode_selection_accuracy
 from repro.ml.ridge import RidgeModel, fit_ridge, rmse
-from repro.traffic.trace import Trace, trace_fingerprint
+from repro.traffic.trace import Trace
 
 #: Default lambda sweep (log-spaced, matching a coarse Matlab-style tune).
 DEFAULT_LAMBDAS: tuple[float, ...] = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
@@ -146,58 +144,3 @@ def train_policy_model(
         feature_set, lambdas,
     )])
     return result
-
-
-#: Canonical trace-identity hash (shared with the run cache in repro.exec).
-_trace_fingerprint = trace_fingerprint
-
-
-def _cache_key(
-    policy_name: str,
-    feature_set: FeatureSet,
-    config: SimConfig,
-    train_traces: list[Trace] | tuple[Trace, ...],
-    val_traces: list[Trace] | tuple[Trace, ...],
-    lambdas: tuple[float, ...],
-) -> str:
-    parts = [
-        policy_name,
-        feature_set.name,
-        ",".join(feature_set.names),
-        config.topology,
-        str(config.radix),
-        str(config.concentration),
-        str(config.buffer_depth),
-        str(config.epoch_cycles),
-        str(config.t_idle),
-        str(config.horizon_ns),
-        config.switching,
-        ",".join(_trace_fingerprint(t) for t in train_traces),
-        ",".join(_trace_fingerprint(t) for t in val_traces),
-        ",".join(f"{l:g}" for l in lambdas),
-    ]
-    return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:20]
-
-
-def ridge_cache_path(
-    policy_name: str,
-    train_traces: list[Trace] | tuple[Trace, ...],
-    validation_traces: list[Trace] | tuple[Trace, ...],
-    config: SimConfig,
-    feature_set: FeatureSet,
-    lambdas: tuple[float, ...],
-    cache_dir: str | Path | None,
-) -> Path | None:
-    """Where one model's trained weights are cached (None: uncached).
-
-    Repeated experiment harness invocations reuse the same trained
-    weights, mirroring the paper's import of offline-trained weight
-    arrays (see :func:`repro.exec.pool.run_train_tasks`).
-    """
-    if cache_dir is None:
-        return None
-    key = _cache_key(
-        policy_name, feature_set, config, train_traces, validation_traces,
-        lambdas,
-    )
-    return Path(cache_dir) / f"ridge-{policy_name}-{key}.npz"

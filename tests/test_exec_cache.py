@@ -1,9 +1,9 @@
 """Content-addressed run cache: hits are exact, staleness is impossible.
 
-Extends the trained-weights cache-invalidation tests
-(``test_cache_invalidation.py``) to the simulation-result cache: any
-change to the config, trace content, policy, weights, or feature set must
-change the key, and a corrupted entry must be discarded, never trusted.
+The run-entry counterpart of the weights-entry tests in
+``test_cache_invalidation.py``: any change to the config, trace content,
+policy, weights, or feature set must change a run's key, and a corrupted
+entry must be discarded, never trusted.
 """
 
 import json

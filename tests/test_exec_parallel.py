@@ -17,11 +17,13 @@ from repro.common.config import SimConfig
 from repro.core.features import FULL_FEATURES, REDUCED_FEATURES
 from repro.exec.cache import RunCache
 from repro.exec.pool import (
+    CaptureTask,
     SimTask,
     effective_jobs,
     feature_set_spec,
     map_tasks,
     resolve_feature_set,
+    run_capture_tasks,
     run_sim_tasks,
 )
 from repro.experiments.campaign import CampaignConfig, run_campaign
@@ -140,6 +142,22 @@ class TestSimTaskFanout:
         on_disk = RunCache(tmp_path / "runs")
         assert on_disk.get(tasks[0].cache_key()) is not None
         assert on_disk.get(tasks[1].cache_key()) is not None
+        assert multiprocessing.active_children() == []
+
+    def test_captures_before_a_failure_are_cached(self, tmp_path):
+        trace = generate_benchmark_trace(
+            "blackscholes", num_cores=QUICK_SIM.num_cores,
+            duration_ns=500.0, seed=1,
+        )
+        tasks = [
+            CaptureTask(policy=policy, trace=trace, sim=QUICK_SIM)
+            for policy in ("dozznoc", "no-such-policy")
+        ]
+        cache = RunCache(tmp_path / "runs")
+        with pytest.raises(ValueError, match="no-such-policy"):
+            run_capture_tasks(tasks, jobs=2, cache=cache)
+        on_disk = RunCache(tmp_path / "runs")
+        assert on_disk.get(tasks[0].cache_key(), kind="capture") is not None
         assert multiprocessing.active_children() == []
 
 

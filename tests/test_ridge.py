@@ -81,19 +81,6 @@ class TestValidation:
             model.predict(np.ones((4, 2)))
 
 
-class TestPersistence:
-    def test_save_load_roundtrip(self, tmp_path):
-        model = RidgeModel(
-            weights=np.array([1.0, -0.5]), lam=0.01, feature_names=("bias", "ibu")
-        )
-        path = tmp_path / "m.npz"
-        model.save(path)
-        back = RidgeModel.load(path)
-        assert np.allclose(back.weights, model.weights)
-        assert back.lam == model.lam
-        assert back.feature_names == ("bias", "ibu")
-
-
 class TestRmse:
     def test_zero_for_perfect(self):
         assert rmse(np.ones(5), np.ones(5)) == 0.0

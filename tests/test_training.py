@@ -14,7 +14,7 @@ from repro.traffic.benchmarks import generate_benchmark_trace
 
 def train_weights(policy, train_traces, validation_traces, config,
                  cache_dir=None):
-    """One model's weights through the trained-weights cache."""
+    """One model's weights through the run cache's weights entries."""
     (weights,) = run_train_tasks([TrainTask(
         policy, tuple(train_traces), tuple(validation_traces), config,
         cache_dir=cache_dir,
@@ -126,20 +126,24 @@ class TestCaching:
         a = train_weights(
             "dozznoc", traces[:1], traces[1:2], sim_config, cache_dir=tmp_path
         )
-        files = list(tmp_path.glob("ridge-*.npz"))
+        files = list(tmp_path.glob("runs/weights-*.npz"))
         assert len(files) == 1
         b = train_weights(
             "dozznoc", traces[:1], traces[1:2], sim_config, cache_dir=tmp_path
         )
-        assert np.allclose(a, b)
-        assert list(tmp_path.glob("ridge-*.npz")) == files
+        # Run keys hash the weights' bytes, so a cached vector must come
+        # back bit for bit.
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+        assert list(tmp_path.glob("runs/weights-*.npz")) == files
+        assert not list(tmp_path.rglob("ridge-*"))
 
     def test_cache_key_distinguishes_policies(self, sim_config, traces, tmp_path):
         train_weights("dozznoc", traces[:1], traces[1:2], sim_config,
                       cache_dir=tmp_path)
         train_weights("lead", traces[:1], traces[1:2], sim_config,
                       cache_dir=tmp_path)
-        assert len(list(tmp_path.glob("ridge-*.npz"))) == 2
+        assert len(list(tmp_path.glob("runs/weights-*.npz"))) == 2
 
     def test_no_cache_dir_trains_fresh(self, sim_config, traces):
         weights = train_weights("lead", traces[:1], traces[1:2], sim_config)

@@ -6,9 +6,10 @@ but is missing from that set lets stale cached metrics survive a kernel
 edit.  This test statically extracts everything :mod:`repro.noc.simulator`
 imports — transitively, to a fixpoint — and asserts each module is in
 the versioned set, and that the set holds nothing the kernel does not
-reach.  Suite keys hash ``_TRAFFIC_MODULES`` and telemetry
-keys add ``_TELEMETRY_MODULES``; both get the same check against the
-trace generator and the telemetry recorder.
+reach.  Suite keys hash ``_TRAFFIC_MODULES``, telemetry keys add
+``_TELEMETRY_MODULES`` and weights keys add ``_TRAINING_MODULES``; each
+gets the same check against the trace generator, the telemetry recorder
+and the offline fit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,11 @@ import ast
 import importlib.util
 from pathlib import Path
 
-from repro.common.sources import _TELEMETRY_MODULES, _TRAFFIC_MODULES
+from repro.common.sources import (
+    _TELEMETRY_MODULES,
+    _TRAFFIC_MODULES,
+    _TRAINING_MODULES,
+)
 from repro.exec.cache import _VERSIONED_MODULES, code_version
 
 
@@ -133,6 +138,20 @@ def test_telemetry_key_covers_the_recorder():
     )
 
 
+def test_training_digest_is_exactly_the_fit_outside_the_kernel():
+    # Weights keys hash _TRAINING_MODULES on top of the kernel's code
+    # version (through the training set's capture key), so the list must
+    # be exactly what the fit reaches beyond _VERSIONED_MODULES: a
+    # missing module lets stale weights survive an edit, an extra one
+    # retrains for nothing.
+    reachable = _transitive_imports("repro.ml.training")
+    outside = reachable - set(_VERSIONED_MODULES)
+    assert outside == set(_TRAINING_MODULES), (
+        f"modules the fit reaches outside the kernel: {sorted(outside)}; "
+        f"_TRAINING_MODULES: {sorted(_TRAINING_MODULES)}"
+    )
+
+
 def test_fixpoint_is_strictly_deeper_than_one_level():
     # Guard the guard: the fixpoint must see modules a two-level scan
     # misses.  The policy layer reaches repro.common.errors only three
@@ -151,7 +170,8 @@ def test_fixpoint_is_strictly_deeper_than_one_level():
 
 
 def test_versioned_modules_all_exist():
-    for name in _VERSIONED_MODULES + _TRAFFIC_MODULES + _TELEMETRY_MODULES:
+    for name in (_VERSIONED_MODULES + _TRAFFIC_MODULES + _TELEMETRY_MODULES
+                 + _TRAINING_MODULES):
         assert _is_module(name), f"versioned module {name!r} does not exist"
 
 
